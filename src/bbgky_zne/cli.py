@@ -28,7 +28,7 @@ from .config import ExperimentConfig, load_config
 from .errors import ConfigError, IllPosedFitError, ResourceLimitError
 from .hierarchy import HierarchySubset, decompose, select_subset
 from .jsonio import dump_csv, dump_json, load_json
-from .mitigation import run_mitigation, zne_baseline
+from .mitigation import run_mitigation
 from .pauli import ObservableCombination
 from .schwinger import (
     build_hamiltonian,
@@ -121,9 +121,6 @@ def cmd_mitigate(
 
     degree = config.mitigation.degree
     dt = config.plan.dt
-    # fails fast when some step's error levels cannot support the degree,
-    # instead of silently writing a min-norm artifact
-    zne_baseline(measurements, degree)
     constrained_subset = None if zne_only else subset
     constrained = run_mitigation(
         measurements, constrained_subset, degree, dt, config.mitigation.g_weight

@@ -5,12 +5,13 @@ the error level,
 
     <Q_q>(eps) = a_{q,s,d} eps^d + ... + a_{q,s,1} eps + <Q_q>^0_s,
 
-whose constant term is the mitigated (zero-noise) estimate. All models are
-fitted in one linear least-squares problem. The top block of the design
-matrix holds one Vandermonde row per measured (q, s, level) point; below it,
-one row per (equation, time point) couples the constant terms of different
-correlators through the hierarchy equations, with the time derivative taken
-on the Bernstein polynomial that interpolates the mitigated time series:
+whose constant term is the mitigated (zero-noise) estimate. In the paper
+form (:func:`assemble`) all models are fitted in one linear least-squares
+problem. The top block of the design matrix holds one Vandermonde row per
+measured (q, s, level) point; below it, one row per (equation, time point)
+couples the constant terms of different correlators through the hierarchy
+equations, with the time derivative taken on the Bernstein polynomial that
+interpolates the mitigated time series:
 
     sum_{s'=1..N} <L>^0_{s'} beta_{s'N}(t/T) - sum_k c_k <R_k>^0_{t/dt}
         = -beta_{0N}(t/T) <L>_0  (+ sum_k c_k <R_k>_0 at t = 0),
@@ -20,15 +21,39 @@ vector stacks the per-(q, s) coefficient blocks in descending powers, so the
 mitigated estimate of block (q, s) lives at flat index
 ``(q * N + s - 1) * (d + 1) + d``.
 
-The solver returns the minimum-norm least-squares solution; singular values
-below ``1e-10`` times the largest are treated as zero.
+:func:`solve` does not factor that matrix. The non-constant coefficients of
+block (q, s) appear only in the block's own Vandermonde rows V, so they are
+eliminated in closed form (separable least squares, Golub & Pereyra, SIAM J.
+Numer. Anal. 10:413, 1973): for a fixed constant term c the block's best
+residual is ``w (c - c_hat)^2`` plus a constant, where ``c_hat`` is the plain
+ZNE estimate of the block and ``w = 1 / [(V^T V)^-1]_dd``. Both come from one
+QR factorisation of V. What remains is the weighted fit of the Q * N
+constant terms alone,
+
+    [diag(sqrt w); G] c ~= [sqrt(w) c_hat; g],
+
+with G and g the constraint rows of the paper form. With
+``u = sqrt(w) (c - c_hat)`` it becomes the minimum-norm solution of
+``[G diag(w)^-1/2, I] [u; v] = g - G c_hat``, one QR of a (Q N + m) x m matrix
+for m constraint rows. Without constraint rows the fit is c = c_hat, which is
+:func:`zne_baseline`.
+
+Each c_hat is linear in its own block's data and the blocks are independent,
+so the shot-noise covariance of c is exactly ``J diag(var c_hat) J^T`` with
+J = dc/dc_hat (:func:`extrapolation_covariance`).
+
+A step with fewer than d + 1 distinct error levels has no unique fit, and
+the solve raises :class:`~bbgky_zne.errors.IllPosedFitError`. Otherwise the
+paper-form problem has full column rank and its least-squares solution is
+the one :func:`solve` returns. The paper-form matrix itself serves
+``bbgky-zne mitigate --dump-matrix`` and the checks that compare the reduced
+solve with a direct solve of it.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from functools import cached_property
 from typing import Sequence
 
 import numpy as np
@@ -38,7 +63,8 @@ from .hierarchy import BbgkyEquation, HierarchySubset
 from .pauli import ObservableCombination, PauliString
 from .simulator import MeasurementSet
 
-#: relative singular-value cutoff shared by every solve in this module
+#: relative singular-value cutoff for pseudoinverse and ``lstsq`` solves of
+#: the paper-form problem, where one is made to check the reduced solve
 RCOND = 1e-10
 
 
@@ -173,18 +199,20 @@ class MitigationProblem:
         if self.target.shape != (expected[0],):
             raise ValueError("target length must match the number of rows")
 
-    @cached_property
-    def solution_operator(self) -> np.ndarray:
-        """Pseudoinverse with the shared singular-value cutoff."""
-        return np.linalg.pinv(self.matrix, rcond=RCOND)
-
 
 @dataclass(frozen=True)
 class MitigationResult:
-    """Solution vector plus the extracted zero-noise estimates."""
+    """Zero-noise estimates of the reduced fit and what their covariance needs.
 
-    coefficients: np.ndarray
+    ``gains[q, s-1]`` maps block (q, s)'s measured values to its plain ZNE
+    estimate c_hat. ``sensitivity`` is the Jacobian dc/dc_hat over the
+    flattened (q-major) estimates, or ``None`` when no constraint row acts and
+    c = c_hat.
+    """
+
     extrapolations: np.ndarray
+    gains: np.ndarray
+    sensitivity: np.ndarray | None
     std: np.ndarray | None = None
 
 
@@ -261,85 +289,140 @@ def assemble(
     return MitigationProblem(matrix, target, layout)
 
 
+def _fit_blocks(
+    vander: np.ndarray, data: np.ndarray, n_steps: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Plain polynomial fit of every block to eps = 0.
+
+    ``vander`` holds one descending-power Vandermonde matrix per block, shape
+    (blocks, levels, degree + 1), and ``data`` the measured values, shape
+    (blocks, levels); block b belongs to step ``b % n_steps + 1``. Returns the
+    constant terms and the gains h with ``estimate = h @ data``. Raises
+    :class:`IllPosedFitError` when a block has fewer than ``degree + 1``
+    distinct error levels.
+    """
+    degree = vander.shape[-1] - 1
+    if degree >= 1:
+        eps = np.sort(vander[:, :, -2], axis=1)
+        distinct = 1 + np.count_nonzero(np.diff(eps, axis=1) > 1e-12, axis=1)
+        short = np.flatnonzero(distinct < degree + 1)
+        if short.size:
+            b = int(short[0])
+            raise IllPosedFitError(
+                f"step {b % n_steps + 1}: {distinct[b]} distinct error levels "
+                f"cannot support degree {degree}"
+            )
+    # V = QR with the constant column last: the constant term of the fit is
+    # Q[:, d] . y / R[d, d], and [(V^T V)^-1]_dd = 1 / R[d, d]^2
+    basis, upper = np.linalg.qr(vander)
+    gains = basis[:, :, degree] / upper[:, degree, degree, None]
+    return np.einsum("bl,bl->b", gains, data), gains
+
+
 def solve(problem: MitigationProblem) -> MitigationResult:
-    """Minimum-norm least-squares solution and the extracted estimates."""
+    """Least-squares zero-noise estimates of an :func:`assemble` problem.
+
+    Solves the reduced weighted fit described in the module docstring. The
+    result equals the paper-form least-squares solution; a problem whose
+    nonzeros lie outside the layout :func:`assemble` fills is rejected.
+    """
     if not (np.isfinite(problem.matrix).all() and np.isfinite(problem.target).all()):
         raise ValueError("problem contains non-finite entries")
-    coefficients = problem.solution_operator @ problem.target
-    extrapolations = coefficients[problem.layout.extraction_indices()]
-    return MitigationResult(coefficients, extrapolations)
+    layout = problem.layout
+    n_blocks = layout.n_correlators * layout.n_steps
+    n_data = n_blocks * layout.n_levels
+    top = problem.matrix[:n_data].reshape(n_blocks, layout.n_levels, n_blocks, layout.degree + 1)
+    blocks = np.arange(n_blocks)
+    vander = top[blocks, :, blocks, :]
+    constraints = problem.matrix[n_data:, layout.extraction_indices().ravel()]
+    if np.count_nonzero(problem.matrix) != np.count_nonzero(vander) + np.count_nonzero(constraints):
+        raise ValueError("problem has entries outside the layout assemble fills")
+
+    data = problem.target[:n_data].reshape(n_blocks, layout.n_levels)
+    estimates, gains = _fit_blocks(vander, data, layout.n_steps)
+    shape = (layout.n_correlators, layout.n_steps)
+    gains_out = gains.reshape(*shape, layout.n_levels)
+    if not constraints.any():
+        return MitigationResult(estimates.reshape(shape), gains_out, None)
+
+    root_w = 1.0 / np.linalg.norm(gains, axis=1)
+    n_rows = constraints.shape[0]
+    # min ||u||^2 + ||G D^-1 u - (g - G c_hat)||^2 with D = diag(sqrt w) is the
+    # minimum-norm solution of [G D^-1, I] z = g - G c_hat. With the complete
+    # QR of that matrix's transpose, z = Q[:, :m] R^-T (g - G c_hat), and
+    # dc/dc_hat = D^-1 (I - X X^T) D = D^-1 Y Y^T D for the top rows X, Y of
+    # Q[:, :m], Q[:, m:]: a product without cancellation where the constraints
+    # pin an estimate.
+    q, upper = np.linalg.qr(
+        np.vstack([(constraints / root_w).T, np.eye(n_rows)]), mode="complete"
+    )
+    x, y = q[:n_blocks, :n_rows], q[:n_blocks, n_rows:]
+    residual = problem.target[n_data:] - constraints @ estimates
+    extrapolations = estimates + x @ np.linalg.solve(upper[:n_rows].T, residual) / root_w
+    sensitivity = (y / root_w[:, None]) @ (y.T * root_w)
+    return MitigationResult(extrapolations.reshape(shape), gains_out, sensitivity)
 
 
 def zne_baseline(measurements: MeasurementSet, degree: int) -> np.ndarray:
     """Independent per-(q, s) polynomial extrapolations to eps = 0.
 
-    This is the reference the joint problem decouples to when no constraint
-    rows are present. Requires at least ``degree + 1`` distinct error levels
-    in every step column.
+    This is the joint fit without constraint rows. Requires at least
+    ``degree + 1`` distinct error levels in every step column.
     """
     if int(degree) != degree or degree < 0:
         raise ValueError(f"degree must be a non-negative integer, got {degree}")
     degree = int(degree)
-    out = np.empty((measurements.n_correlators, measurements.n_steps))
-    for s in range(1, measurements.n_steps + 1):
-        eps = measurements.eps[s - 1]
-        distinct = 1 + int(np.sum(np.diff(np.sort(eps)) > 1e-12))
-        if distinct < degree + 1:
-            raise IllPosedFitError(
-                f"step {s}: {distinct} distinct error levels cannot support degree {degree}"
-            )
-        vander = np.vander(eps, degree + 1)
-        stacked = measurements.values[:, s - 1, :].T  # (levels, correlators)
-        coeffs, *_ = np.linalg.lstsq(vander, stacked, rcond=RCOND)
-        out[:, s - 1] = coeffs[-1]
-    return out
+    shape = measurements.values.shape
+    eps = np.broadcast_to(measurements.eps, shape)
+    vander = eps[..., None] ** np.arange(degree, -1, -1)
+    estimates, _ = _fit_blocks(
+        vander.reshape(-1, shape[2], degree + 1),
+        measurements.values.reshape(-1, shape[2]),
+        measurements.n_steps,
+    )
+    return estimates.reshape(shape[:2])
 
 
-def measurement_variances(measurements: MeasurementSet, layout: ProblemLayout) -> np.ndarray:
-    """Shot-noise variance of every target row; constraint rows carry zero.
+def measurement_variances(measurements: MeasurementSet) -> np.ndarray:
+    """Shot-noise variance of every measured point, shaped like ``values``.
 
     Uses the binomial estimate ``(1 - e^2) / shots`` per measured point and
     all zeros in infinite-shot mode.
     """
-    variances = np.zeros(layout.n_rows)
     if measurements.shots is None:
-        return variances
-    for q in range(layout.n_correlators):
-        for s in range(1, layout.n_steps + 1):
-            row = layout.zne_row(q, s, 0)
-            e = measurements.values[q, s - 1]
-            variances[row : row + layout.n_levels] = (1.0 - e**2) / measurements.shots
-    return variances
-
-
-def _checked_variances(problem: MitigationProblem, row_variances: Sequence[float]) -> np.ndarray:
-    variances = np.asarray(row_variances, dtype=float)
-    if variances.shape != (problem.layout.n_rows,):
-        raise ValueError(
-            f"need one variance per row ({problem.layout.n_rows}), got {variances.shape}"
-        )
-    if np.any(variances < 0.0) or not np.isfinite(variances).all():
-        raise ValueError("row variances must be finite and non-negative")
-    return variances
-
-
-def propagate_std(problem: MitigationProblem, row_variances: Sequence[float]) -> np.ndarray:
-    """Standard deviation of each extracted estimate under row noise."""
-    variances = _checked_variances(problem, row_variances)
-    operator = problem.solution_operator
-    rows = operator[problem.layout.extraction_indices().ravel()]
-    out = (rows**2) @ variances
-    return np.sqrt(out).reshape(problem.layout.n_correlators, problem.layout.n_steps)
+        return np.zeros_like(measurements.values)
+    return (1.0 - measurements.values**2) / measurements.shots
 
 
 def extrapolation_covariance(
-    problem: MitigationProblem, row_variances: Sequence[float]
+    result: MitigationResult, point_variances: Sequence[float]
 ) -> np.ndarray:
-    """Full covariance of the extracted estimates, flattened (q-major)."""
-    variances = _checked_variances(problem, row_variances)
-    operator = problem.solution_operator
-    rows = operator[problem.layout.extraction_indices().ravel()]
-    return (rows * variances) @ rows.T
+    """Full covariance of the extracted estimates, flattened (q-major).
+
+    ``point_variances`` holds the noise variance of every measured point,
+    shaped like the measured values.
+    """
+    variances = np.asarray(point_variances, dtype=float)
+    if variances.shape != result.gains.shape:
+        raise ValueError(
+            f"need one variance per measured point {result.gains.shape}, got {variances.shape}"
+        )
+    if np.any(variances < 0.0) or not np.isfinite(variances).all():
+        raise ValueError("point variances must be finite and non-negative")
+    n_levels = result.gains.shape[-1]
+    plain = np.einsum(
+        "bl,bl->b", result.gains.reshape(-1, n_levels) ** 2, variances.reshape(-1, n_levels)
+    )
+    if result.sensitivity is None:
+        return np.diag(plain)
+    factor = result.sensitivity * np.sqrt(plain)
+    return factor @ factor.T
+
+
+def propagate_std(covariance: np.ndarray, shape: tuple[int, int]) -> np.ndarray:
+    """Standard deviation of each extracted estimate: the square root of the
+    covariance diagonal, reshaped to (correlators, steps)."""
+    return np.sqrt(np.diag(covariance)).reshape(shape)
 
 
 def error_norm(
@@ -435,7 +518,6 @@ def run_mitigation(
     """Assemble, solve and propagate uncertainties in one call."""
     problem = assemble(measurements, subset, degree, dt, g_weight)
     result = solve(problem)
-    variances = measurement_variances(measurements, problem.layout)
-    std = propagate_std(problem, variances)
-    covariance = extrapolation_covariance(problem, variances)
+    covariance = extrapolation_covariance(result, measurement_variances(measurements))
+    std = propagate_std(covariance, result.extrapolations.shape)
     return MitigationOutput(problem, replace(result, std=std), covariance)

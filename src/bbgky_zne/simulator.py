@@ -359,8 +359,6 @@ def evolve_noisy(
                     if rate:
                         rho = depolarize(rho, support, rate, n)
             pairs_done = pairs_target
-            # bookkeeping: s real steps plus 2 per inserted pair
-            assert pairs_done == math.floor(eta * s)
 
             if plan.shots is None:
                 eps[s - 1, k] = error_level(s, eta)

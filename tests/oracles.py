@@ -10,6 +10,7 @@ graph library.
 from __future__ import annotations
 
 import math
+from fractions import Fraction
 from itertools import product
 
 import numpy as np
@@ -241,3 +242,46 @@ def normal_equation_solve(matrix: np.ndarray, target: np.ndarray) -> np.ndarray:
     """Least squares via the normal equations; valid for full column rank."""
     gram = matrix.T @ matrix
     return np.linalg.solve(gram, matrix.T @ target)
+
+
+def paper_form_solve(problem, measurements) -> tuple[np.ndarray, np.ndarray]:
+    """Zero-noise estimates and their shot-noise covariance from one dense
+    pseudoinverse of the whole paper-form problem (Vandermonde and constraint
+    rows together), the minimum-norm least-squares solution.
+
+    Constraint rows carry no noise; a measured point carries the binomial
+    variance ``(1 - e^2) / shots``, or none with infinite shots.
+    """
+    from bbgky_zne.mitigation import RCOND
+
+    layout = problem.layout
+    operator = np.linalg.pinv(problem.matrix, rcond=RCOND)
+    rows = operator[layout.extraction_indices().ravel()]
+    variances = np.zeros(layout.n_rows)
+    if measurements.shots is not None:
+        for q in range(layout.n_correlators):
+            for s in range(1, layout.n_steps + 1):
+                for k in range(layout.n_levels):
+                    e = measurements.values[q, s - 1, k]
+                    variances[layout.zne_row(q, s, k)] = (1.0 - e * e) / measurements.shots
+    extrapolations = (rows @ problem.target).reshape(layout.n_correlators, layout.n_steps)
+    return extrapolations, (rows * variances) @ rows.T
+
+
+def exact_solution_operator(matrix: np.ndarray) -> list[list[Fraction]]:
+    """``(A^T A)^-1 A^T`` in exact rational arithmetic, by Gauss-Jordan
+    elimination on the normal equations; valid for full column rank."""
+    a = [[Fraction(float(v)) for v in row] for row in matrix]
+    n_rows, n_cols = len(a), len(a[0])
+    gram = [[sum(a[k][i] * a[k][j] for k in range(n_rows)) for j in range(n_cols)] for i in range(n_cols)]
+    work = [gram[i] + [a[k][i] for k in range(n_rows)] for i in range(n_cols)]
+    for col in range(n_cols):
+        pivot = next(r for r in range(col, n_cols) if work[r][col] != 0)
+        work[col], work[pivot] = work[pivot], work[col]
+        lead = work[col][col]
+        work[col] = [v / lead for v in work[col]]
+        for r in range(n_cols):
+            if r != col and work[r][col] != 0:
+                factor = work[r][col]
+                work[r] = [v - factor * p for v, p in zip(work[r], work[col])]
+    return [row[n_cols:] for row in work]

@@ -188,6 +188,22 @@ def test_degenerate_levels_exit_4(tmp_path, capsys):
     assert "numerical" in capsys.readouterr().err
 
 
+def test_scan_with_too_few_distinct_levels_exits_4(tmp_path, capsys):
+    # exact levels at step 1 are 1, 3, 3, 5: a cubic fit is ill posed
+    config = write_config(
+        tmp_path,
+        {
+            "plan": {"fold_levels": [0.0, 1.0, 1.5, 2.0], "shots": None},
+            "mitigation": {"degree": 3},
+            "scan": {"l0_values": [0.0], "mass_values": [0.0]},
+        },
+    )
+    out = tmp_path / "scan"
+    assert main(["scan", "--config", str(config), "--out-dir", str(out)]) == 4
+    assert "numerical" in capsys.readouterr().err
+    assert not (out / "scan.csv").exists()
+
+
 def test_mismatched_subset_exits_2(tmp_path, capsys):
     config = write_config(tmp_path)
     run = tmp_path / "run"

@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -25,7 +26,12 @@ from bbgky_zne.mitigation import (
 from bbgky_zne.pauli import ObservableCombination, PauliString
 from bbgky_zne.simulator import MeasurementSet
 from conftest import random_measurements
-from oracles import bernstein_fit_derivative, normal_equation_solve
+from oracles import (
+    bernstein_fit_derivative,
+    exact_solution_operator,
+    normal_equation_solve,
+    paper_form_solve,
+)
 
 
 def test_bernstein_partition_of_unity(rng):
@@ -170,12 +176,65 @@ def test_assemble_validation():
 
 
 def test_unconstrained_solve_matches_per_slice_fits(rng):
+    # the paper-form oracle solves the block-diagonal problem as one pinv
     for _ in range(20):
         ms = random_measurements(rng)
         problem = assemble(ms, None, 2, 0.25)
         joint = solve(problem).extrapolations
-        baseline = zne_baseline(ms, 2)
-        np.testing.assert_allclose(joint, baseline, atol=1e-9)
+        oracle, _ = paper_form_solve(problem, ms)
+        np.testing.assert_allclose(joint, oracle, atol=1e-9)
+        np.testing.assert_array_equal(zne_baseline(ms, 2), joint)
+
+
+def random_subset(rng: np.random.Generator, correlators, n_equations: int) -> HierarchySubset:
+    """Equations with random coefficients over a prefix of ``correlators``."""
+    n_corr = int(rng.integers(1, len(correlators) + 1))
+    kept = correlators[:n_corr]
+    equations = []
+    for lhs in rng.permutation(n_corr)[:n_equations]:
+        picks = rng.permutation(n_corr)[: int(rng.integers(0, n_corr + 1))]
+        terms = tuple((float(rng.normal()), kept[i]) for i in picks)
+        equations.append(BbgkyEquation(kept[lhs], terms))
+    return HierarchySubset(tuple(equations), kept, n_corr, 0)
+
+
+def test_reduced_solve_matches_paper_form_oracle(rng):
+    # Constraint rows can pin an estimate far below its shot-noise variance,
+    # and both solves round at the scale of the unconstrained variances, so
+    # covariances are compared on that scale (the pinned case is checked in
+    # exact arithmetic below). Extrapolations are compared on their own.
+    worst = {"extrapolations": 0.0, "covariance": 0.0}
+    for degree in range(4):
+        for g_weight in (0.0, 1.0, 2.5):
+            for shots in (2048, None):
+                for constrained in (False, True):
+                    ms = random_measurements(
+                        rng,
+                        n_correlators=int(rng.integers(1, 5)),
+                        n_steps=int(rng.integers(1, 7)),
+                        n_levels=degree + 1 + int(rng.integers(0, 3)),
+                        shots=shots,
+                    )
+                    subset = (
+                        random_subset(rng, ms.correlators, int(rng.integers(1, 4)))
+                        if constrained
+                        else None
+                    )
+                    dt = float(rng.uniform(0.05, 0.5))
+                    output = run_mitigation(ms, subset, degree, dt, g_weight)
+                    plain = run_mitigation(ms, None, degree, dt)
+                    extrapolations, covariance = paper_form_solve(output.problem, ms)
+                    for name, ours, oracle, scale in (
+                        ("extrapolations", output.result.extrapolations, extrapolations,
+                         np.abs(extrapolations).max()),
+                        ("covariance", output.covariance, covariance, plain.covariance.max()),
+                    ):
+                        err = float(np.abs(ours - oracle).max())
+                        worst[name] = max(worst[name], err / max(scale, np.finfo(float).tiny))
+                    if shots is None:
+                        assert not output.covariance.any()
+    assert worst["extrapolations"] <= 1e-12, worst
+    assert worst["covariance"] <= 1e-12, worst
 
 
 def test_zne_baseline_matches_polyfit(rng):
@@ -226,11 +285,39 @@ def test_constraints_preserve_consistent_data():
     np.testing.assert_allclose(constrained, plain, atol=1e-9)
 
 
-def test_solution_operator_matches_normal_equations(rng):
-    ms = random_measurements(rng, n_correlators=2, n_steps=3, n_levels=4)
-    problem = assemble(ms, None, 1, 0.5)
-    direct = normal_equation_solve(problem.matrix, problem.target)
-    np.testing.assert_allclose(solve(problem).coefficients, direct, atol=1e-8)
+def test_pinned_estimates_match_exact_arithmetic():
+    # two steps, one equation: its three rows fix both estimates, and the
+    # covariance falls ~1e-9 below the plain variances
+    z1 = PauliString.parse("Z1")
+    subset = HierarchySubset((BbgkyEquation(z1, ((-0.7, z1),)),), (z1,), 1, 0)
+    ms = random_measurements(np.random.default_rng(7), n_correlators=1, n_steps=2, shots=2048)
+    output = run_mitigation(ms, subset, 3, 0.3)
+    assert output.covariance.max() < 1e-6 * run_mitigation(ms, None, 3, 0.3).covariance.max()
+
+    operator = exact_solution_operator(output.problem.matrix)
+    rows = [operator[i] for i in output.problem.layout.extraction_indices().ravel()]
+    target = [Fraction(float(v)) for v in output.problem.target]
+    # the measured rows come first; zip stops before the noiseless constraint rows
+    variances = [Fraction(float(v)) for v in measurement_variances(ms).ravel()]
+    exact = np.array([float(sum(r * t for r, t in zip(row, target))) for row in rows])
+    exact_cov = np.array(
+        [[float(sum(a * v * b for a, v, b in zip(ri, variances, rj))) for rj in rows] for ri in rows]
+    )
+    np.testing.assert_allclose(output.result.extrapolations.ravel(), exact, rtol=1e-12)
+    assert np.abs(output.covariance - exact_cov).max() <= 1e-12 * np.abs(exact_cov).max()
+
+
+def test_solve_matches_normal_equations(rng):
+    base = random_measurements(rng, n_correlators=2, n_steps=3, n_levels=4)
+    ms = MeasurementSet(toy_subset().correlators, base.values, base.eps, base.initial, None)
+    for subset in (None, toy_subset()):
+        problem = assemble(ms, subset, 1, 0.5)
+        direct = normal_equation_solve(problem.matrix, problem.target)
+        np.testing.assert_allclose(
+            solve(problem).extrapolations,
+            direct[problem.layout.extraction_indices()],
+            atol=1e-8,
+        )
 
 
 def test_measurement_variance_placement(rng):
@@ -243,43 +330,47 @@ def test_measurement_variance_placement(rng):
         ms.initial[:2],
         1000,
     )
-    problem = assemble(ms2, subset, 1, 0.5)
-    variances = measurement_variances(ms2, problem.layout)
-    layout = problem.layout
+    variances = measurement_variances(ms2)
+    assert variances.shape == ms2.values.shape
     for q in range(2):
-        for s in range(1, layout.n_steps + 1):
-            row = layout.zne_row(q, s, 0)
-            for k in range(layout.n_levels):
+        for s in range(1, ms2.n_steps + 1):
+            for k in range(ms2.n_levels):
                 e = ms2.values[q, s - 1, k]
-                assert variances[row + k] == pytest.approx((1 - e**2) / 1000)
-    for e in range(layout.n_equations):
-        for step in range(layout.n_steps + 1):
-            assert variances[layout.g_row(e, step)] == 0.0
+                assert variances[q, s - 1, k] == pytest.approx((1 - e**2) / 1000)
 
 
 def test_infinite_shots_have_zero_variance(rng):
     ms = random_measurements(rng, shots=None)
-    problem = assemble(ms, None, 1, 0.5)
-    assert not measurement_variances(ms, problem.layout).any()
+    assert not measurement_variances(ms).any()
     output = run_mitigation(ms, None, 1, 0.5)
     assert not output.result.std.any()
 
 
 def test_propagated_std_matches_monte_carlo(rng):
-    ms = random_measurements(rng, n_correlators=2, n_steps=2, n_levels=4, shots=500)
-    problem = assemble(ms, None, 1, 0.5)
-    variances = measurement_variances(ms, problem.layout)
-    std = propagate_std(problem, variances)
-    cov = extrapolation_covariance(problem, variances)
+    subset = toy_subset()
+    base = random_measurements(rng, n_correlators=2, n_steps=2, n_levels=4, shots=500)
+    ms = MeasurementSet(subset.correlators, base.values, base.eps, base.initial, 500)
+    variances = measurement_variances(ms)
+    for constraints in (None, subset):
+        problem = assemble(ms, constraints, 1, 0.5)
+        result = solve(problem)
+        cov = extrapolation_covariance(result, variances)
+        std = propagate_std(cov, result.extrapolations.shape)
+        np.testing.assert_array_equal(std, np.sqrt(np.diag(cov)).reshape(std.shape))
 
-    draws = 6000
-    noise = rng.normal(size=(problem.matrix.shape[0], draws)) * np.sqrt(variances)[:, None]
-    solutions = problem.solution_operator @ (problem.target[:, None] + noise)
-    samples = solutions[problem.layout.extraction_indices().ravel()]
-    mc_std = samples.std(axis=1).reshape(std.shape)
-    np.testing.assert_allclose(std, mc_std, rtol=0.12)
-    mc_cov = np.cov(samples)
-    np.testing.assert_allclose(cov, mc_cov, atol=3e-3)
+        # redraw the measured rows and solve each noisy problem
+        draws = 3000
+        n_data = ms.values.size
+        noise = rng.normal(size=(draws, n_data)) * np.sqrt(variances).ravel()
+        samples = np.empty((draws, std.size))
+        for i in range(draws):
+            target = problem.target.copy()
+            target[:n_data] += noise[i]
+            noisy = MitigationProblem(problem.matrix, target, problem.layout)
+            samples[i] = solve(noisy).extrapolations.ravel()
+        mc_std = samples.std(axis=0).reshape(std.shape)
+        np.testing.assert_allclose(std, mc_std, rtol=0.12)
+        np.testing.assert_allclose(cov, np.cov(samples.T), atol=3e-3)
 
 
 def test_error_norm_hand_value():
@@ -342,3 +433,16 @@ def test_problem_shape_validation():
                 np.full((4, 4), np.nan), np.zeros(4), layout
             )
         )
+    # an entry outside the Vandermonde blocks and extraction columns
+    problem = MitigationProblem(np.eye(4), np.zeros(4), layout)
+    problem.matrix[0, 3] = 1.0
+    with pytest.raises(ValueError):
+        solve(problem)
+
+
+def test_solve_rejects_too_few_distinct_levels():
+    ms = toy_measurements()  # two distinct levels per step
+    with pytest.raises(IllPosedFitError, match="step 1"):
+        solve(assemble(ms, toy_subset(), 2, 0.5))
+    with pytest.raises(IllPosedFitError):
+        run_mitigation(ms, None, 2, 0.5)

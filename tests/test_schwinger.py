@@ -4,6 +4,7 @@ from functools import reduce
 import numpy as np
 import pytest
 
+from bbgky_zne.errors import IllPosedFitError
 from bbgky_zne.pauli import PauliString, dense_pauli
 from bbgky_zne.schwinger import (
     SchwingerParams,
@@ -157,3 +158,13 @@ def test_run_scan_grid_layout():
         assert result.L_zne >= 0.0 and result.L_bbgky >= 0.0
     # cell results line up with the flattened csv rows
     assert rows[-1][0] == 0.5 and rows[-1][1] == 0.15
+
+
+def test_run_cell_rejects_too_few_distinct_levels():
+    # exact levels (s + 2 floor(eta s)) / s at step 1 are 1, 3, 3, 5 for the
+    # default fold levels: three distinct values cannot fix a cubic
+    plan = EvolutionPlan(4, 0.8, 1, (0.0, 1.0, 1.5, 2.0), None, 3)
+    with pytest.raises(IllPosedFitError, match="step 1: 3 distinct"):
+        run_cell(SchwingerParams(2), plan, MILD_NOISE, 0, 3)
+    with pytest.raises(IllPosedFitError):
+        run_scan([0.0], [0.0], SchwingerParams(2), plan, MILD_NOISE, 0, 3, 1)
