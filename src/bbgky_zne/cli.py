@@ -16,9 +16,8 @@ byte-identical output files.
 from __future__ import annotations
 
 import argparse
-import os
+import io
 import sys
-import tempfile
 from pathlib import Path
 
 import numpy as np
@@ -27,16 +26,21 @@ from . import verify as verify_checks
 from .config import ExperimentConfig, load_config
 from .errors import ConfigError, IllPosedFitError, ResourceLimitError
 from .hierarchy import HierarchySubset, decompose, select_subset
-from .jsonio import dump_csv, dump_json, load_json
+from .jsonio import (
+    atomic_write_bytes,
+    atomic_write_text,
+    dump_csv,
+    dump_json,
+    load_json,
+)
 from .mitigation import run_mitigation
 from .pauli import ObservableCombination
 from .schwinger import (
     build_hamiltonian,
-    charge_observable,
-    default_initial_state,
     hierarchy_seeds,
-    particle_number_observable,
+    report_observables,
     run_scan,
+    tracked_observables,
 )
 from .simulator import MeasurementSet, evolve_exact, evolve_noisy
 
@@ -51,9 +55,6 @@ def cmd_hierarchy(config: ExperimentConfig, out_dir: Path) -> int:
     ham, subset = _subset_for(config)
     dump_json(subset.to_dict(), out_dir / "subset.json")
     listing = [str(eq) for eq in subset.equations]
-    (out_dir / "equations.txt").parent.mkdir(parents=True, exist_ok=True)
-    from .jsonio import atomic_write_text
-
     atomic_write_text(out_dir / "equations.txt", "\n".join(listing) + "\n")
     if config.schwinger.n_qubits <= 6:
         dump_json({"sizes": decompose(ham)}, out_dir / "components.json")
@@ -71,9 +72,8 @@ def cmd_simulate(config: ExperimentConfig, out_dir: Path) -> int:
     header, rows = measurements.csv_rows()
     dump_csv(out_dir / "measurements.csv", header, rows)
 
-    n = config.schwinger.n_qubits
-    named = [("Q", charge_observable(n)), ("P", particle_number_observable(n))]
-    observables = [combo for _, combo in named] + [
+    named = tracked_observables(config.schwinger.n_qubits)
+    observables = list(named.values()) + [
         ObservableCombination(0.0, ((1.0, c),)) for c in subset.correlators
     ]
     reference = evolve_exact(ham, config.initial_state, config.plan.times, observables)
@@ -82,7 +82,7 @@ def cmd_simulate(config: ExperimentConfig, out_dir: Path) -> int:
             "times": list(config.plan.times),
             "observables": [
                 {"name": name, "series": reference[i].tolist()}
-                for i, (name, _) in enumerate(named)
+                for i, name in enumerate(named)
             ],
             "correlators": [
                 {"string": c.token(), "series": reference[len(named) + i].tolist()}
@@ -93,19 +93,6 @@ def cmd_simulate(config: ExperimentConfig, out_dir: Path) -> int:
     )
     print(f"wrote {out_dir / 'measurements.json'}")
     return 0
-
-
-def _save_npz_atomic(path: Path, **arrays) -> None:
-    path.parent.mkdir(parents=True, exist_ok=True)
-    fd, tmp_name = tempfile.mkstemp(dir=path.parent, suffix=".tmp.npz")
-    os.close(fd)
-    try:
-        np.savez(tmp_name, **arrays)
-        os.replace(tmp_name, path)
-    except BaseException:
-        if os.path.exists(tmp_name):
-            os.unlink(tmp_name)
-        raise
 
 
 def cmd_mitigate(
@@ -121,36 +108,39 @@ def cmd_mitigate(
 
     degree = config.mitigation.degree
     dt = config.plan.dt
-    constrained_subset = None if zne_only else subset
-    constrained = run_mitigation(
-        measurements, constrained_subset, degree, dt, config.mitigation.g_weight
-    )
-    plain = run_mitigation(measurements, None, degree, dt)
+    if zne_only:
+        plain = constrained = run_mitigation(measurements, None, degree, dt)
+    else:
+        constrained = run_mitigation(
+            measurements, subset, degree, dt, config.mitigation.g_weight
+        )
+        plain = run_mitigation(measurements, None, degree, dt)
     if dump_matrix is not None:
-        _save_npz_atomic(
-            dump_matrix,
+        buffer = io.BytesIO()
+        np.savez(
+            buffer,
             matrix=constrained.problem.matrix,
             target=constrained.problem.target,
         )
+        atomic_write_bytes(dump_matrix, buffer.getvalue())
 
-    n = config.schwinger.n_qubits
-    ham = build_hamiltonian(config.schwinger)
-    named = [("Q", charge_observable(n)), ("P", particle_number_observable(n))]
     measured = set(measurements.correlators)
-    named = [
-        (name, combo)
-        for name, combo in named
+    observables = {
+        name: combo
+        for name, combo in tracked_observables(config.schwinger.n_qubits).items()
         if all(s in measured for s in combo.strings)
-    ]
-    if named:
+    }
+    references = []
+    if observables:
         references = evolve_exact(
-            ham,
+            build_hamiltonian(config.schwinger),
             config.initial_state,
             config.plan.times,
-            [combo for _, combo in named],
+            list(observables.values()),
         )
-
-    from .mitigation import error_norm, observable_covariance, observable_series
+    reports = report_observables(
+        measurements, observables, references, plain, constrained, dt
+    )
 
     result_doc: dict = {}
     csv_rows = []
@@ -161,23 +151,14 @@ def cmd_mitigate(
             "std": output.result.std.tolist(),
             "observables": [],
         }
-        for o_index, (name, combo) in enumerate(named):
-            series = observable_series(
-                combo,
-                measurements.correlators,
-                measurements.initial,
-                output.result.extrapolations,
-            )
-            cov = observable_covariance(
-                combo, measurements.correlators, output.covariance, measurements.n_steps
-            )
-            std_series = np.sqrt(np.clip(np.diag(cov), 0.0, None))
-            norm, d_norm = error_norm(series, references[o_index], dt, cov)
+        for name, report in reports.items():
+            series = getattr(report, f"series_{label}")
+            std_series = getattr(report, f"std_{label}")
             doc["observables"].append(
                 {
                     "name": name,
-                    "L": norm,
-                    "dL": d_norm,
+                    "L": getattr(report, f"L_{label}"),
+                    "dL": getattr(report, f"dL_{label}"),
                     "series": series.tolist(),
                     "std_series": std_series.tolist(),
                 }
@@ -191,7 +172,7 @@ def cmd_mitigate(
                         s * dt,
                         series[s],
                         float(std_series[s]),
-                        float(references[o_index][s]),
+                        float(report.reference[s]),
                     )
                 )
         result_doc[label] = doc

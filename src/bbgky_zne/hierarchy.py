@@ -17,9 +17,8 @@ given target without scanning the exponentially large string space.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Sequence
 
-import networkx as nx
 import numpy as np
 
 from .errors import ResourceLimitError
@@ -444,9 +443,25 @@ def decompose(ham: SpinHamiltonian, *, max_qubits: int = 6) -> list[int]:
         raise ResourceLimitError(
             f"decompose enumerates 4**{ham.n_qubits} strings; cap is {max_qubits} qubits"
         )
-    graph = nx.Graph()
+    # union-find over the strings; each value is a stored key object, so
+    # roots are compared by identity
+    parent: dict[PauliString, PauliString] = {}
+
+    def find(s: PauliString) -> PauliString:
+        s = parent.setdefault(s, s)
+        while parent[s] is not s:
+            parent[s] = parent[parent[s]]
+            s = parent[s]
+        return s
+
     for s in all_strings(ham.n_qubits):
-        graph.add_node(s)
+        root = find(s)
         for t in downstream(ham, s):
-            graph.add_edge(s, t)
-    return sorted(len(c) for c in nx.connected_components(graph))
+            other = find(t)
+            if other is not root:
+                parent[other] = root
+    sizes: dict[PauliString, int] = {}
+    for s in parent:
+        root = find(s)
+        sizes[root] = sizes.get(root, 0) + 1
+    return sorted(sizes.values())

@@ -16,18 +16,22 @@ from pathlib import Path
 import numpy as np
 
 
-def atomic_write_text(path: str | Path, text: str) -> None:
+def atomic_write_bytes(path: str | Path, data: bytes) -> None:
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     fd, tmp_name = tempfile.mkstemp(dir=path.parent, prefix=path.name, suffix=".tmp")
     try:
-        with os.fdopen(fd, "w") as handle:
-            handle.write(text)
+        with os.fdopen(fd, "wb") as handle:
+            handle.write(data)
         os.replace(tmp_name, path)
     except BaseException:
         if os.path.exists(tmp_name):
             os.unlink(tmp_name)
         raise
+
+
+def atomic_write_text(path: str | Path, text: str) -> None:
+    atomic_write_bytes(path, text.encode())
 
 
 def dump_json(data, path: str | Path) -> None:

@@ -105,41 +105,6 @@ def bernstein_deriv_weight(s: int, degree: int, x: float, dt: float) -> float:
 
 
 @dataclass(frozen=True)
-class BernsteinBasis:
-    """Bernstein basis on ``[0, horizon]`` with ``degree + 1`` uniform samples."""
-
-    degree: int
-    horizon: float
-
-    def __post_init__(self) -> None:
-        if int(self.degree) != self.degree or self.degree < 1:
-            raise ValueError(f"degree must be a positive integer, got {self.degree}")
-        if not float(self.horizon) > 0.0:
-            raise ValueError(f"horizon must be positive, got {self.horizon}")
-        object.__setattr__(self, "degree", int(self.degree))
-        object.__setattr__(self, "horizon", float(self.horizon))
-
-    @property
-    def dt(self) -> float:
-        return self.horizon / self.degree
-
-    def value(self, s: int, x: float) -> float:
-        return bernstein_value(s, self.degree, x)
-
-    def deriv_weight(self, s: int, x: float) -> float:
-        return bernstein_deriv_weight(s, self.degree, x, self.dt)
-
-    def derivative(self, samples: Sequence[float], x: float) -> float:
-        samples = np.asarray(samples, dtype=float)
-        if samples.shape != (self.degree + 1,):
-            raise ValueError(f"expected {self.degree + 1} samples, got {samples.shape}")
-        weights = np.array(
-            [self.deriv_weight(s, x) for s in range(self.degree + 1)]
-        )
-        return float(weights @ samples)
-
-
-@dataclass(frozen=True)
 class ProblemLayout:
     """Row/column bookkeeping of the joint mitigation problem."""
 

@@ -26,13 +26,20 @@ import numpy as np
 
 from .hierarchy import SpinHamiltonian, select_subset
 from .mitigation import (
+    MitigationOutput,
     error_norm,
     observable_covariance,
     observable_series,
     run_mitigation,
 )
 from .pauli import ObservableCombination, PauliString
-from .simulator import EvolutionPlan, NoiseModel, evolve_exact, evolve_noisy
+from .simulator import (
+    EvolutionPlan,
+    MeasurementSet,
+    NoiseModel,
+    evolve_exact,
+    evolve_noisy,
+)
 
 
 @dataclass(frozen=True)
@@ -137,6 +144,44 @@ class CellOutcome:
     reports: dict[str, ObservableReport]
 
 
+def tracked_observables(n_qubits: int) -> dict[str, ObservableCombination]:
+    """The observables every report covers: charge Q and particle number P."""
+    return {
+        "Q": charge_observable(n_qubits),
+        "P": particle_number_observable(n_qubits),
+    }
+
+
+def report_observables(
+    measurements: MeasurementSet,
+    observables: dict[str, ObservableCombination],
+    references: Sequence[np.ndarray],
+    zne: MitigationOutput,
+    bbgky: MitigationOutput,
+    dt: float,
+) -> dict[str, ObservableReport]:
+    """Mitigated series, std and error norm of each observable under both
+    methods; ``references`` holds the exact series in ``observables`` order."""
+    reports: dict[str, ObservableReport] = {}
+    for (name, combo), reference in zip(observables.items(), references):
+        fields = {}
+        for label, output in (("zne", zne), ("bbgky", bbgky)):
+            series = observable_series(
+                combo, measurements.correlators, measurements.initial,
+                output.result.extrapolations,
+            )
+            cov = observable_covariance(
+                combo, measurements.correlators, output.covariance, measurements.n_steps
+            )
+            fields[f"series_{label}"] = series
+            fields[f"std_{label}"] = np.sqrt(np.clip(np.diag(cov), 0.0, None))
+            fields[f"L_{label}"], fields[f"dL_{label}"] = error_norm(
+                series, reference, dt, cov
+            )
+        reports[name] = ObservableReport(name=name, reference=reference, **fields)
+    return reports
+
+
 def run_cell(
     params: SchwingerParams,
     plan: EvolutionPlan,
@@ -154,41 +199,14 @@ def run_cell(
     subset = select_subset(ham, hierarchy_seeds(n), radius)
     measurements = evolve_noisy(ham, state, plan, noise, subset.correlators)
 
-    observables = {
-        "Q": charge_observable(n),
-        "P": particle_number_observable(n),
-    }
+    observables = tracked_observables(n)
     references = evolve_exact(ham, state, plan.times, list(observables.values()))
 
     bbgky = run_mitigation(measurements, subset, degree, plan.dt, g_weight)
     zne = run_mitigation(measurements, None, degree, plan.dt)
-
-    reports: dict[str, ObservableReport] = {}
-    for o_index, (name, combo) in enumerate(observables.items()):
-        reference = references[o_index]
-        entries = {}
-        for label, output in (("zne", zne), ("bbgky", bbgky)):
-            series = observable_series(
-                combo, measurements.correlators, measurements.initial,
-                output.result.extrapolations,
-            )
-            cov = observable_covariance(
-                combo, measurements.correlators, output.covariance, plan.n_steps
-            )
-            norm, d_norm = error_norm(series, reference, plan.dt, cov)
-            entries[label] = (series, np.sqrt(np.clip(np.diag(cov), 0.0, None)), norm, d_norm)
-        reports[name] = ObservableReport(
-            name=name,
-            reference=reference,
-            series_zne=entries["zne"][0],
-            series_bbgky=entries["bbgky"][0],
-            std_zne=entries["zne"][1],
-            std_bbgky=entries["bbgky"][1],
-            L_zne=entries["zne"][2],
-            dL_zne=entries["zne"][3],
-            L_bbgky=entries["bbgky"][2],
-            dL_bbgky=entries["bbgky"][3],
-        )
+    reports = report_observables(
+        measurements, observables, references, zne, bbgky, plan.dt
+    )
     return CellOutcome(params, subset, measurements, zne, bbgky, reports)
 
 
@@ -304,4 +322,6 @@ def run_scan(
                 )
                 for name, report in outcome.reports.items()
             }
-    return ScanGrid(l0_values, mass_values, ("Q", "P"), cells)
+    return ScanGrid(
+        l0_values, mass_values, tuple(tracked_observables(base_params.n_qubits)), cells
+    )

@@ -20,7 +20,7 @@ shift are both bypassed and exact noisy expectations are returned.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np

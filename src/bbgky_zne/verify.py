@@ -27,7 +27,8 @@ from .schwinger import SchwingerParams, build_hamiltonian
 from .simulator import MeasurementSet
 
 
-def random_hamiltonian(n_qubits: int, rng: np.random.Generator) -> SpinHamiltonian:
+def random_hamiltonian(rng: np.random.Generator, n_qubits: int) -> SpinHamiltonian:
+    """Normal random fields and couplings on every site pair."""
     h = rng.normal(size=(n_qubits, 3))
     V = np.zeros((n_qubits, n_qubits, 3, 3))
     upper = np.triu_indices(n_qubits, k=1)
@@ -35,7 +36,8 @@ def random_hamiltonian(n_qubits: int, rng: np.random.Generator) -> SpinHamiltoni
     return SpinHamiltonian(n_qubits, h, V)
 
 
-def random_string(n_qubits: int, rng: np.random.Generator) -> PauliString:
+def random_string(rng: np.random.Generator, n_qubits: int) -> PauliString:
+    """Uniformly random non-identity Pauli string."""
     while True:
         axes = rng.integers(0, 4, size=n_qubits)
         if axes.any():
@@ -50,10 +52,10 @@ def check_equation_commutator(seed: int) -> tuple[bool, str]:
     worst = 0.0
     for n_qubits in (2, 3, 4):
         for _ in range(5):
-            ham = random_hamiltonian(n_qubits, rng)
+            ham = random_hamiltonian(rng, n_qubits)
             dense_h = ham.dense()
             for _ in range(5):
-                s = random_string(n_qubits, rng)
+                s = random_string(rng, n_qubits)
                 equation = derive_equation(ham, s)
                 dense_s = dense_pauli(s, n_qubits)
                 commutator = 1j * (dense_h @ dense_s - dense_s @ dense_h)
@@ -70,7 +72,7 @@ def check_duality(seed: int) -> tuple[bool, str]:
     rng = np.random.default_rng([seed, 2])
     for n_qubits in (2, 3):
         for _ in range(3):
-            ham = random_hamiltonian(n_qubits, rng)
+            ham = random_hamiltonian(rng, n_qubits)
             strings = [s for s in all_strings(n_qubits) if not s.is_identity]
             down = {s: downstream(ham, s) for s in strings}
             for t in strings:

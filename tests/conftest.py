@@ -1,27 +1,10 @@
 import numpy as np
 import pytest
 
-from bbgky_zne.hierarchy import SpinHamiltonian
+from bbgky_zne.mitigation import bernstein_deriv_weight
 from bbgky_zne.pauli import PauliString
 from bbgky_zne.simulator import MeasurementSet
-
-
-def random_hamiltonian(rng: np.random.Generator, n_qubits: int) -> SpinHamiltonian:
-    h = rng.normal(size=(n_qubits, 3))
-    V = np.zeros((n_qubits, n_qubits, 3, 3))
-    upper = np.triu_indices(n_qubits, k=1)
-    V[upper] = rng.normal(size=(len(upper[0]), 3, 3))
-    return SpinHamiltonian(n_qubits, h, V)
-
-
-def random_string(rng: np.random.Generator, n_qubits: int) -> PauliString:
-    while True:
-        axes = rng.integers(0, 4, size=n_qubits)
-        if axes.any():
-            break
-    return PauliString(
-        tuple((site + 1, int(axis)) for site, axis in enumerate(axes) if axis)
-    )
+from bbgky_zne.verify import random_hamiltonian, random_string  # noqa: F401
 
 
 def random_measurements(
@@ -38,6 +21,14 @@ def random_measurements(
     values = rng.uniform(-1.0, 1.0, size=(n_correlators, n_steps, n_levels))
     initial = rng.uniform(-1.0, 1.0, size=n_correlators)
     return MeasurementSet(tuple(strings), values, eps, initial, shots)
+
+
+def sampled_derivative(samples, x: float, dt: float) -> float:
+    """Derivative of the Bernstein fit through uniform samples, at x."""
+    degree = len(samples) - 1
+    return sum(
+        bernstein_deriv_weight(s, degree, x, dt) * samples[s] for s in range(degree + 1)
+    )
 
 
 @pytest.fixture

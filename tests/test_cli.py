@@ -3,7 +3,10 @@ import json
 import numpy as np
 import pytest
 
+from bbgky_zne import cli, mitigation
 from bbgky_zne.cli import main
+from bbgky_zne.config import load_config
+from bbgky_zne.schwinger import run_cell
 
 BASE_CONFIG = {
     "seed": 11,
@@ -130,6 +133,71 @@ def test_mitigate_zne_only_collapses_methods(tmp_path):
     assert main(args) == 0
     doc = json.loads((out / "mitigated.json").read_text())
     assert doc["zne"]["extrapolations"] == doc["bbgky"]["extrapolations"]
+
+
+def mitigate_args(config, run, out, *extra):
+    return [
+        "mitigate",
+        "--config", str(config),
+        "--out-dir", str(out),
+        "--measurements", str(run / "measurements.json"),
+        "--subset", str(run / "subset.json"),
+        *extra,
+    ]
+
+
+@pytest.mark.parametrize("extra", [(), ("--zne-only",)], ids=["constrained", "zne_only"])
+def test_mitigate_is_byte_deterministic(tmp_path, extra):
+    config = write_config(tmp_path)
+    run = tmp_path / "run"
+    assert main(["simulate", "--config", str(config), "--out-dir", str(run)]) == 0
+    out1, out2 = tmp_path / "a", tmp_path / "b"
+    assert main(mitigate_args(config, run, out1, *extra)) == 0
+    assert main(mitigate_args(config, run, out2, *extra)) == 0
+    for name in ("mitigated.json", "mitigated.csv"):
+        assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
+
+
+def test_mitigate_reports_match_run_cell(tmp_path):
+    # simulate + mitigate and run_cell share one report: same L and dL
+    config_path = write_config(tmp_path, {"mitigation": {"radius": 1}})
+    run = tmp_path / "run"
+    out = tmp_path / "fit"
+    assert main(["simulate", "--config", str(config_path), "--out-dir", str(run)]) == 0
+    assert main(mitigate_args(config_path, run, out)) == 0
+    doc = json.loads((out / "mitigated.json").read_text())
+
+    config = load_config(config_path)
+    outcome = run_cell(
+        config.schwinger,
+        config.plan,
+        config.noise,
+        config.mitigation.radius,
+        config.mitigation.degree,
+        config.mitigation.g_weight,
+        config.initial_state,
+    )
+    for label in ("zne", "bbgky"):
+        assert [o["name"] for o in doc[label]["observables"]] == ["Q", "P"]
+        for obs in doc[label]["observables"]:
+            report = outcome.reports[obs["name"]]
+            assert obs["L"] == getattr(report, f"L_{label}")
+            assert obs["dL"] == getattr(report, f"dL_{label}")
+
+
+def test_mitigate_zne_only_solves_once(tmp_path, monkeypatch):
+    config = write_config(tmp_path)
+    run = tmp_path / "run"
+    assert main(["simulate", "--config", str(config), "--out-dir", str(run)]) == 0
+    subsets = []
+
+    def counting(measurements, subset, *args, **kwargs):
+        subsets.append(subset)
+        return mitigation.run_mitigation(measurements, subset, *args, **kwargs)
+
+    monkeypatch.setattr(cli, "run_mitigation", counting)
+    assert main(mitigate_args(config, run, tmp_path / "fit", "--zne-only")) == 0
+    assert subsets == [None]
 
 
 def test_scan_subcommand(tmp_path):
