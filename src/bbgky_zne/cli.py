@@ -25,7 +25,7 @@ import numpy as np
 from . import verify as verify_checks
 from .config import ExperimentConfig, load_config
 from .errors import ConfigError, IllPosedFitError, ResourceLimitError
-from .hierarchy import HierarchySubset, decompose, select_subset
+from .hierarchy import DECOMPOSE_MAX_QUBITS, HierarchySubset, decompose, select_subset
 from .jsonio import (
     atomic_write_bytes,
     atomic_write_text,
@@ -56,7 +56,7 @@ def cmd_hierarchy(config: ExperimentConfig, out_dir: Path) -> int:
     dump_json(subset.to_dict(), out_dir / "subset.json")
     listing = [str(eq) for eq in subset.equations]
     atomic_write_text(out_dir / "equations.txt", "\n".join(listing) + "\n")
-    if config.schwinger.n_qubits <= 6:
+    if config.schwinger.n_qubits <= DECOMPOSE_MAX_QUBITS:
         dump_json({"sizes": decompose(ham)}, out_dir / "components.json")
     print(f"wrote {out_dir / 'subset.json'}")
     return 0

@@ -10,6 +10,7 @@ default and must come from the file or the command line.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -34,8 +35,8 @@ class MitigationSettings:
             raise ValueError(f"degree must be a non-negative integer, got {self.degree}")
         if int(self.radius) != self.radius or self.radius < 0:
             raise ValueError(f"radius must be a non-negative integer, got {self.radius}")
-        if not float(self.g_weight) >= 0.0:
-            raise ValueError(f"g_weight must be >= 0, got {self.g_weight}")
+        if not 0.0 <= float(self.g_weight) < math.inf:
+            raise ValueError(f"g_weight must be finite and >= 0, got {self.g_weight}")
         object.__setattr__(self, "degree", int(self.degree))
         object.__setattr__(self, "radius", int(self.radius))
         object.__setattr__(self, "g_weight", float(self.g_weight))
@@ -49,8 +50,8 @@ class ScanSettings:
     def __post_init__(self) -> None:
         for name in ("l0_values", "mass_values"):
             values = tuple(float(v) for v in getattr(self, name))
-            if not values:
-                raise ValueError(f"{name} must be non-empty")
+            if not values or not all(math.isfinite(v) for v in values):
+                raise ValueError(f"{name} must be non-empty and finite, got {values}")
             object.__setattr__(self, name, values)
 
 
@@ -83,6 +84,11 @@ def _expect(value, kinds, path: str):
         )
         raise ConfigError(f"{path}: expected {names}, got {type(value).__name__}")
     return value
+
+
+def _numbers(section: dict, key: str, default: tuple[float, ...], path: str) -> tuple:
+    values = _expect(section.get(key, list(default)), list, path)
+    return tuple(_expect(v, (int, float), f"{path}[{i}]") for i, v in enumerate(values))
 
 
 def _build(path: str, factory, **kwargs):
@@ -165,9 +171,6 @@ def load_config(
         plan_shots = shots
     if infinite_shots:
         plan_shots = None
-    fold_levels = _expect(
-        section.get("fold_levels", list(DEFAULT_FOLD_LEVELS)), list, "plan.fold_levels"
-    )
     plan = _build(
         "plan",
         EvolutionPlan,
@@ -178,10 +181,7 @@ def load_config(
         trotter_order=_expect(
             section.get("trotter_order", 1), int, "plan.trotter_order"
         ),
-        fold_levels=tuple(
-            _expect(v, (int, float), f"plan.fold_levels[{i}]")
-            for i, v in enumerate(fold_levels)
-        ),
+        fold_levels=_numbers(section, "fold_levels", DEFAULT_FOLD_LEVELS, "plan.fold_levels"),
         shots=plan_shots,
         rng_seed=seed,
     )
@@ -219,26 +219,8 @@ def load_config(
     scan = _build(
         "scan",
         ScanSettings,
-        l0_values=tuple(
-            _expect(v, (int, float), f"scan.l0_values[{i}]")
-            for i, v in enumerate(
-                _expect(
-                    section.get("l0_values", list(DEFAULT_SCAN_AXIS)),
-                    list,
-                    "scan.l0_values",
-                )
-            )
-        ),
-        mass_values=tuple(
-            _expect(v, (int, float), f"scan.mass_values[{i}]")
-            for i, v in enumerate(
-                _expect(
-                    section.get("mass_values", list(DEFAULT_SCAN_AXIS)),
-                    list,
-                    "scan.mass_values",
-                )
-            )
-        ),
+        l0_values=_numbers(section, "l0_values", DEFAULT_SCAN_AXIS, "scan.l0_values"),
+        mass_values=_numbers(section, "mass_values", DEFAULT_SCAN_AXIS, "scan.mass_values"),
     )
 
     section = _expect(raw.get("hierarchy", {}), dict, "hierarchy")

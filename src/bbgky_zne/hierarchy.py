@@ -433,15 +433,16 @@ def select_subset(
     return HierarchySubset(equations, correlators, len(seeds), radius)
 
 
-def decompose(ham: SpinHamiltonian, *, max_qubits: int = 6) -> list[int]:
-    """Sizes of the connected components of the full hierarchy graph.
+#: :func:`decompose` enumerates all 4**n strings, so it stops at this size
+DECOMPOSE_MAX_QUBITS = 6
 
-    Enumerates all ``4**n_qubits`` strings, so callers are capped by
-    ``max_qubits``. Returns the component sizes in ascending order.
-    """
-    if ham.n_qubits > max_qubits:
+
+def decompose(ham: SpinHamiltonian) -> list[int]:
+    """Sizes of the connected components of the full hierarchy graph, in
+    ascending order, from all ``4**n_qubits`` strings."""
+    if ham.n_qubits > DECOMPOSE_MAX_QUBITS:
         raise ResourceLimitError(
-            f"decompose enumerates 4**{ham.n_qubits} strings; cap is {max_qubits} qubits"
+            f"decompose enumerates 4**{ham.n_qubits} strings; cap is {DECOMPOSE_MAX_QUBITS} qubits"
         )
     # union-find over the strings; each value is a stored key object, so
     # roots are compared by identity

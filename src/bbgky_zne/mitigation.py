@@ -6,10 +6,10 @@ the error level,
     <Q_q>(eps) = a_{q,s,d} eps^d + ... + a_{q,s,1} eps + <Q_q>^0_s,
 
 whose constant term is the mitigated (zero-noise) estimate. In the paper
-form (:func:`assemble`) all models are fitted in one linear least-squares
-problem. The top block of the design matrix holds one Vandermonde row per
-measured (q, s, level) point; below it, one row per (equation, time point)
-couples the constant terms of different correlators through the hierarchy
+form all models are fitted in one linear least-squares problem. The top
+block of the design matrix holds one Vandermonde row per measured
+(q, s, level) point; below it, one row per (equation, time point) couples
+the constant terms of different correlators through the hierarchy
 equations, with the time derivative taken on the Bernstein polynomial that
 interpolates the mitigated time series:
 
@@ -21,7 +21,14 @@ vector stacks the per-(q, s) coefficient blocks in descending powers, so the
 mitigated estimate of block (q, s) lives at flat index
 ``(q * N + s - 1) * (d + 1) + d``.
 
-:func:`solve` does not factor that matrix. The non-constant coefficients of
+:func:`assemble` builds only the pieces of that matrix: one Vandermonde
+block per (q, s), the measured values, and the constraint rows G, g over
+the Q * N constant terms. The dense matrix and right-hand side are views of
+a :class:`MitigationProblem` that are built on first use, by
+``bbgky-zne mitigate --dump-matrix`` and by the checks that compare the
+reduced solve with a direct solve of the paper form.
+
+:func:`solve` never forms that matrix. The non-constant coefficients of
 block (q, s) appear only in the block's own Vandermonde rows V, so they are
 eliminated in closed form (separable least squares, Golub & Pereyra, SIAM J.
 Numer. Anal. 10:413, 1973): for a fixed constant term c the block's best
@@ -30,13 +37,12 @@ ZNE estimate of the block and ``w = 1 / [(V^T V)^-1]_dd``. Both come from one
 QR factorisation of V. What remains is the weighted fit of the Q * N
 constant terms alone,
 
-    [diag(sqrt w); G] c ~= [sqrt(w) c_hat; g],
+    [diag(sqrt w); G] c ~= [sqrt(w) c_hat; g].
 
-with G and g the constraint rows of the paper form. With
-``u = sqrt(w) (c - c_hat)`` it becomes the minimum-norm solution of
-``[G diag(w)^-1/2, I] [u; v] = g - G c_hat``, one QR of a (Q N + m) x m matrix
-for m constraint rows. Without constraint rows the fit is c = c_hat, which is
-:func:`zne_baseline`.
+With ``u = sqrt(w) (c - c_hat)`` it becomes the minimum-norm solution of
+``[G diag(w)^-1/2, I] [u; v] = g - G c_hat``, one QR of a (Q N + m) x m
+matrix for m constraint rows. Without constraint rows the fit is
+c = c_hat, which is :func:`zne_baseline`.
 
 Each c_hat is linear in its own block's data and the blocks are independent,
 so the shot-noise covariance of c is exactly ``J diag(var c_hat) J^T`` with
@@ -45,15 +51,14 @@ J = dc/dc_hat (:func:`extrapolation_covariance`).
 A step with fewer than d + 1 distinct error levels has no unique fit, and
 the solve raises :class:`~bbgky_zne.errors.IllPosedFitError`. Otherwise the
 paper-form problem has full column rank and its least-squares solution is
-the one :func:`solve` returns. The paper-form matrix itself serves
-``bbgky-zne mitigate --dump-matrix`` and the checks that compare the reduced
-solve with a direct solve of it.
+the one :func:`solve` returns.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
@@ -125,44 +130,69 @@ class ProblemLayout:
     def n_cols(self) -> int:
         return (self.degree + 1) * self.n_steps * self.n_correlators
 
-    def col_block(self, q: int, s: int) -> int:
-        return (q * self.n_steps + (s - 1)) * (self.degree + 1)
-
     def extraction_index(self, q: int, s: int) -> int:
         """Flat column of the mitigated estimate of correlator q at step s."""
-        return self.col_block(q, s) + self.degree
-
-    def zne_row(self, q: int, s: int, level: int) -> int:
-        return (q * self.n_steps + (s - 1)) * self.n_levels + level
-
-    def g_row(self, equation: int, step: int) -> int:
-        return (
-            self.n_levels * self.n_steps * self.n_correlators
-            + equation * (self.n_steps + 1)
-            + step
-        )
+        return (q * self.n_steps + (s - 1)) * (self.degree + 1) + self.degree
 
     def extraction_indices(self) -> np.ndarray:
         base = np.arange(self.n_correlators * self.n_steps) * (self.degree + 1)
         return (base + self.degree).reshape(self.n_correlators, self.n_steps)
 
 
-@dataclass
+@dataclass(frozen=True)
 class MitigationProblem:
-    """Dense least-squares system ``matrix @ a ~= target``."""
+    """Block form of the joint least-squares problem.
 
-    matrix: np.ndarray
-    target: np.ndarray
+    ``vander[b]`` is the descending-power Vandermonde matrix of block
+    b = q * N + s - 1, shape (Q * N, levels, d + 1), and ``data[b]`` its
+    measured values. ``constraints`` is G, one row per (equation, time point)
+    over the Q * N constant terms, and ``rhs`` is g; both are already scaled by
+    ``g_weight``. :attr:`matrix` and :attr:`target` scatter these blocks into
+    the dense paper form on first use.
+    """
+
+    vander: np.ndarray
+    data: np.ndarray
+    constraints: np.ndarray
+    rhs: np.ndarray
     layout: ProblemLayout
 
     def __post_init__(self) -> None:
-        self.matrix = np.asarray(self.matrix, dtype=float)
-        self.target = np.asarray(self.target, dtype=float)
-        expected = (self.layout.n_rows, self.layout.n_cols)
-        if self.matrix.shape != expected:
-            raise ValueError(f"matrix shape {self.matrix.shape} != layout shape {expected}")
-        if self.target.shape != (expected[0],):
-            raise ValueError("target length must match the number of rows")
+        layout = self.layout
+        n_blocks = layout.n_correlators * layout.n_steps
+        n_rows = layout.n_equations * (layout.n_steps + 1)
+        for name, shape in (
+            ("vander", (n_blocks, layout.n_levels, layout.degree + 1)),
+            ("data", (n_blocks, layout.n_levels)),
+            ("constraints", (n_rows, n_blocks)),
+            ("rhs", (n_rows,)),
+        ):
+            array = np.asarray(getattr(self, name), dtype=float)
+            if array.shape != shape:
+                raise ValueError(f"{name} shape {array.shape} != layout shape {shape}")
+            if not np.isfinite(array).all():
+                raise ValueError(f"{name} contains non-finite entries")
+            object.__setattr__(self, name, array)
+        # one memory order for G, so the solve's BLAS products round the same
+        # way whoever built it
+        object.__setattr__(self, "constraints", np.asfortranarray(self.constraints))
+
+    @cached_property
+    def matrix(self) -> np.ndarray:
+        """Dense paper-form design matrix, (n_rows, n_cols)."""
+        layout = self.layout
+        n_blocks, n_levels, width = self.vander.shape
+        matrix = np.zeros((layout.n_rows, layout.n_cols))
+        top = matrix[: n_blocks * n_levels].reshape(n_blocks, n_levels, n_blocks, width)
+        blocks = np.arange(n_blocks)
+        top[blocks, :, blocks, :] = self.vander
+        matrix[n_blocks * n_levels :, layout.extraction_indices().ravel()] = self.constraints
+        return matrix
+
+    @cached_property
+    def target(self) -> np.ndarray:
+        """Dense paper-form right-hand side: measured values, then g."""
+        return np.concatenate([self.data.ravel(), self.rhs])
 
 
 @dataclass(frozen=True)
@@ -181,6 +211,20 @@ class MitigationResult:
     std: np.ndarray | None = None
 
 
+def _check_degree(degree: int) -> int:
+    if int(degree) != degree or degree < 0:
+        raise ValueError(f"degree must be a non-negative integer, got {degree}")
+    return int(degree)
+
+
+def _vandermonde(measurements: MeasurementSet, degree: int) -> np.ndarray:
+    """Descending-power Vandermonde matrix of every (q, s) block, shape
+    (Q * N, levels, degree + 1), block b = q * N + s - 1."""
+    shape = measurements.values.shape
+    eps = np.broadcast_to(measurements.eps, shape)
+    return (eps[..., None] ** np.arange(degree, -1, -1)).reshape(-1, shape[2], degree + 1)
+
+
 def assemble(
     measurements: MeasurementSet,
     subset: HierarchySubset | None,
@@ -195,17 +239,14 @@ def assemble(
     measured correlators so column indices agree. ``dt`` is the step length
     of the measurement grid; ``g_weight`` scales the constraint rows.
     """
-    if int(degree) != degree or degree < 0:
-        raise ValueError(f"degree must be a non-negative integer, got {degree}")
+    degree = _check_degree(degree)
     if not dt > 0.0:
         raise ValueError(f"dt must be positive, got {dt}")
-    if not g_weight >= 0.0:
-        raise ValueError(f"g_weight must be >= 0, got {g_weight}")
-    degree = int(degree)
+    if not 0.0 <= g_weight < math.inf:
+        raise ValueError(f"g_weight must be finite and >= 0, got {g_weight}")
 
     n_corr = measurements.n_correlators
     n_steps = measurements.n_steps
-    n_levels = measurements.n_levels
 
     equations: tuple[BbgkyEquation, ...] = ()
     if subset is not None and subset.n_equations:
@@ -218,40 +259,30 @@ def assemble(
             )
         equations = subset.equations
 
-    layout = ProblemLayout(n_corr, n_steps, n_levels, degree, len(equations))
-    matrix = np.zeros((layout.n_rows, layout.n_cols))
-    target = np.zeros(layout.n_rows)
-
-    powers = np.arange(degree, -1, -1)
-    for q in range(n_corr):
-        for s in range(1, n_steps + 1):
-            row = layout.zne_row(q, s, 0)
-            col = layout.col_block(q, s)
-            matrix[row : row + n_levels, col : col + degree + 1] = (
-                measurements.eps[s - 1][:, None] ** powers[None, :]
-            )
-            target[row : row + n_levels] = measurements.values[q, s - 1]
-
+    layout = ProblemLayout(n_corr, n_steps, measurements.n_levels, degree, len(equations))
+    # weights[step, s] of sample s in the derivative at time point step
+    grid = range(n_steps + 1)
+    weights = np.array(
+        [[bernstein_deriv_weight(s, n_steps, step / n_steps, dt) for s in grid] for step in grid]
+    )
+    constraints = np.zeros((len(equations) * (n_steps + 1), n_corr * n_steps), order="F")
+    rhs = np.zeros(len(equations) * (n_steps + 1))
     index = {string: i for i, string in enumerate(measurements.correlators)}
+    diagonal = np.arange(n_steps)
     for e, equation in enumerate(equations):
+        rows = slice(e * (n_steps + 1), (e + 1) * (n_steps + 1))
         q_lhs = index[equation.lhs]
-        for step in range(n_steps + 1):
-            x = step / n_steps
-            row = layout.g_row(e, step)
-            for s in range(1, n_steps + 1):
-                matrix[row, layout.extraction_index(q_lhs, s)] += g_weight * (
-                    bernstein_deriv_weight(s, n_steps, x, dt)
-                )
-            value = -bernstein_deriv_weight(0, n_steps, x, dt) * measurements.initial[q_lhs]
-            for coeff, string in equation.terms:
-                q_rhs = index[string]
-                if step >= 1:
-                    matrix[row, layout.extraction_index(q_rhs, step)] -= g_weight * coeff
-                else:
-                    value += coeff * measurements.initial[q_rhs]
-            target[row] = g_weight * value
+        constraints[rows, q_lhs * n_steps : (q_lhs + 1) * n_steps] += g_weight * weights[:, 1:]
+        # the known t = 0 values sit on the right-hand side
+        value = -weights[:, 0] * measurements.initial[q_lhs]
+        for coeff, string in equation.terms:
+            q_rhs = index[string]
+            constraints[rows.start + 1 + diagonal, q_rhs * n_steps + diagonal] -= g_weight * coeff
+            value[0] += coeff * measurements.initial[q_rhs]
+        rhs[rows] = g_weight * value
 
-    return MitigationProblem(matrix, target, layout)
+    data = measurements.values.reshape(-1, layout.n_levels)
+    return MitigationProblem(_vandermonde(measurements, degree), data, constraints, rhs, layout)
 
 
 def _fit_blocks(
@@ -287,26 +318,14 @@ def _fit_blocks(
 def solve(problem: MitigationProblem) -> MitigationResult:
     """Least-squares zero-noise estimates of an :func:`assemble` problem.
 
-    Solves the reduced weighted fit described in the module docstring. The
-    result equals the paper-form least-squares solution; a problem whose
-    nonzeros lie outside the layout :func:`assemble` fills is rejected.
+    Solves the reduced weighted fit described in the module docstring; the
+    result equals the paper-form least-squares solution.
     """
-    if not (np.isfinite(problem.matrix).all() and np.isfinite(problem.target).all()):
-        raise ValueError("problem contains non-finite entries")
     layout = problem.layout
-    n_blocks = layout.n_correlators * layout.n_steps
-    n_data = n_blocks * layout.n_levels
-    top = problem.matrix[:n_data].reshape(n_blocks, layout.n_levels, n_blocks, layout.degree + 1)
-    blocks = np.arange(n_blocks)
-    vander = top[blocks, :, blocks, :]
-    constraints = problem.matrix[n_data:, layout.extraction_indices().ravel()]
-    if np.count_nonzero(problem.matrix) != np.count_nonzero(vander) + np.count_nonzero(constraints):
-        raise ValueError("problem has entries outside the layout assemble fills")
-
-    data = problem.target[:n_data].reshape(n_blocks, layout.n_levels)
-    estimates, gains = _fit_blocks(vander, data, layout.n_steps)
+    estimates, gains = _fit_blocks(problem.vander, problem.data, layout.n_steps)
     shape = (layout.n_correlators, layout.n_steps)
     gains_out = gains.reshape(*shape, layout.n_levels)
+    constraints = problem.constraints
     if not constraints.any():
         return MitigationResult(estimates.reshape(shape), gains_out, None)
 
@@ -321,8 +340,9 @@ def solve(problem: MitigationProblem) -> MitigationResult:
     q, upper = np.linalg.qr(
         np.vstack([(constraints / root_w).T, np.eye(n_rows)]), mode="complete"
     )
+    n_blocks = root_w.size
     x, y = q[:n_blocks, :n_rows], q[:n_blocks, n_rows:]
-    residual = problem.target[n_data:] - constraints @ estimates
+    residual = problem.rhs - constraints @ estimates
     extrapolations = estimates + x @ np.linalg.solve(upper[:n_rows].T, residual) / root_w
     sensitivity = (y / root_w[:, None]) @ (y.T * root_w)
     return MitigationResult(extrapolations.reshape(shape), gains_out, sensitivity)
@@ -334,18 +354,13 @@ def zne_baseline(measurements: MeasurementSet, degree: int) -> np.ndarray:
     This is the joint fit without constraint rows. Requires at least
     ``degree + 1`` distinct error levels in every step column.
     """
-    if int(degree) != degree or degree < 0:
-        raise ValueError(f"degree must be a non-negative integer, got {degree}")
-    degree = int(degree)
-    shape = measurements.values.shape
-    eps = np.broadcast_to(measurements.eps, shape)
-    vander = eps[..., None] ** np.arange(degree, -1, -1)
+    degree = _check_degree(degree)
     estimates, _ = _fit_blocks(
-        vander.reshape(-1, shape[2], degree + 1),
-        measurements.values.reshape(-1, shape[2]),
+        _vandermonde(measurements, degree),
+        measurements.values.reshape(-1, measurements.n_levels),
         measurements.n_steps,
     )
-    return estimates.reshape(shape[:2])
+    return estimates.reshape(measurements.values.shape[:2])
 
 
 def measurement_variances(measurements: MeasurementSet) -> np.ndarray:

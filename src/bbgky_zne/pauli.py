@@ -97,12 +97,6 @@ class PauliString:
     def __len__(self) -> int:
         return len(self.factors)
 
-    def axis_on(self, site: int) -> int | None:
-        for s, axis in self.factors:
-            if s == site:
-                return axis
-        return None
-
     def max_site(self) -> int:
         return self.factors[-1][0] if self.factors else 0
 

@@ -57,13 +57,16 @@ class SchwingerParams:
             raise ValueError(
                 f"n_qubits must be an even integer >= 2, got {self.n_qubits}"
             )
-        if not float(self.volume) > 0.0:
-            raise ValueError(f"volume must be positive, got {self.volume}")
-        if float(self.penalty) < 0.0:
-            raise ValueError(f"penalty must be >= 0, got {self.penalty}")
         object.__setattr__(self, "n_qubits", int(self.n_qubits))
         for name in ("mass_ratio", "volume", "l0", "penalty"):
-            object.__setattr__(self, name, float(getattr(self, name)))
+            value = float(getattr(self, name))
+            if not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value}")
+            object.__setattr__(self, name, value)
+        if not self.volume > 0.0:
+            raise ValueError(f"volume must be positive, got {self.volume}")
+        if self.penalty < 0.0:
+            raise ValueError(f"penalty must be >= 0, got {self.penalty}")
 
     @property
     def x(self) -> float:

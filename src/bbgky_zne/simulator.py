@@ -35,6 +35,10 @@ from .pauli import (
     parse_basis_label,
 )
 
+#: qubit caps of the dense 2^n x 2^n density matrix and eigenbasis
+NOISY_MAX_QUBITS = 8
+EXACT_MAX_QUBITS = 10
+
 
 @dataclass(frozen=True)
 class NoiseModel:
@@ -70,13 +74,15 @@ class EvolutionPlan:
     def __post_init__(self) -> None:
         if int(self.n_steps) < 1:
             raise ValueError(f"n_steps must be >= 1, got {self.n_steps}")
-        if not float(self.total_time) > 0.0:
-            raise ValueError(f"total_time must be positive, got {self.total_time}")
+        if not 0.0 < float(self.total_time) < math.inf:
+            raise ValueError(f"total_time must be positive and finite, got {self.total_time}")
         if self.trotter_order not in (1, 2):
             raise ValueError(f"trotter_order must be 1 or 2, got {self.trotter_order}")
         levels = tuple(float(v) for v in self.fold_levels)
         if not levels or levels[0] != 0.0:
             raise ValueError("fold_levels must start with 0")
+        if not all(math.isfinite(v) for v in levels):
+            raise ValueError(f"fold_levels must be finite, got {levels}")
         if any(b <= a for a, b in zip(levels, levels[1:])):
             raise ValueError("fold_levels must be strictly increasing")
         if self.shots is not None and int(self.shots) < 1:
@@ -309,8 +315,6 @@ def evolve_noisy(
     plan: EvolutionPlan,
     noise: NoiseModel,
     correlators: Sequence[PauliString],
-    *,
-    max_qubits: int = 8,
 ) -> MeasurementSet:
     """Simulate the full measurement campaign for one parameter point.
 
@@ -321,9 +325,9 @@ def evolve_noisy(
     reproducible regardless of the consumer.
     """
     n = ham.n_qubits
-    if n > max_qubits:
+    if n > NOISY_MAX_QUBITS:
         raise ResourceLimitError(
-            f"evolve_noisy is capped at {max_qubits} qubits, got {n}"
+            f"evolve_noisy is capped at {NOISY_MAX_QUBITS} qubits, got {n}"
         )
     correlators = tuple(correlators)
     if not correlators:
@@ -347,18 +351,15 @@ def evolve_noisy(
     for k, eta in enumerate(plan.fold_levels):
         rng = np.random.default_rng([plan.rng_seed, k])
         rho = _basis_density(bits)
-        pairs_done = 0
-        for s in range(1, n_steps + 1):
+        for s, pairs in enumerate(fold_schedule(eta, n_steps), start=1):
             for unitary, support, rate in zip(unitaries, supports, rates):
                 rho = unitary @ rho @ unitary.conj().T
                 if rate:
                     rho = depolarize(rho, support, rate, n)
-            pairs_target = math.floor(eta * s)
-            for _ in range(2 * (pairs_target - pairs_done)):
+            for _ in range(2 * pairs):
                 for support, rate in zip(supports, rates):
                     if rate:
                         rho = depolarize(rho, support, rate, n)
-            pairs_done = pairs_target
 
             if plan.shots is None:
                 eps[s - 1, k] = error_level(s, eta)
@@ -381,8 +382,6 @@ def evolve_exact(
     initial_state: str,
     times: Sequence[float],
     observables: Sequence[ObservableCombination | PauliString],
-    *,
-    max_qubits: int = 10,
 ) -> np.ndarray:
     """Noise-free reference expectations via exact diagonalization.
 
@@ -390,9 +389,9 @@ def evolve_exact(
     accepted and treated as weight-1 combinations.
     """
     n = ham.n_qubits
-    if n > max_qubits:
+    if n > EXACT_MAX_QUBITS:
         raise ResourceLimitError(
-            f"evolve_exact is capped at {max_qubits} qubits, got {n}"
+            f"evolve_exact is capped at {EXACT_MAX_QUBITS} qubits, got {n}"
         )
     bits = parse_basis_label(initial_state, n)
     combos = [

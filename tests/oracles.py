@@ -257,13 +257,11 @@ def paper_form_solve(problem, measurements) -> tuple[np.ndarray, np.ndarray]:
     layout = problem.layout
     operator = np.linalg.pinv(problem.matrix, rcond=RCOND)
     rows = operator[layout.extraction_indices().ravel()]
+    # the measured rows come first, in (q, s, level) order
     variances = np.zeros(layout.n_rows)
     if measurements.shots is not None:
-        for q in range(layout.n_correlators):
-            for s in range(1, layout.n_steps + 1):
-                for k in range(layout.n_levels):
-                    e = measurements.values[q, s - 1, k]
-                    variances[layout.zne_row(q, s, k)] = (1.0 - e * e) / measurements.shots
+        for row, e in enumerate(measurements.values.ravel()):
+            variances[row] = (1.0 - e * e) / measurements.shots
     extrapolations = (rows @ problem.target).reshape(layout.n_correlators, layout.n_steps)
     return extrapolations, (rows * variances) @ rows.T
 

@@ -6,7 +6,10 @@ import pytest
 from bbgky_zne import cli, mitigation
 from bbgky_zne.cli import main
 from bbgky_zne.config import load_config
+from bbgky_zne.hierarchy import HierarchySubset
+from bbgky_zne.jsonio import load_json
 from bbgky_zne.schwinger import run_cell
+from bbgky_zne.simulator import MeasurementSet
 
 BASE_CONFIG = {
     "seed": 11,
@@ -110,7 +113,14 @@ def test_mitigate_pipeline(tmp_path):
     with np.load(out / "problem.npz") as payload:
         matrix, target = payload["matrix"], payload["target"]
     assert matrix.shape == (3 * 5 * 10 + 4 * 6, 3 * 5 * 10)
-    assert target.shape == (matrix.shape[0],)
+    problem = mitigation.assemble(
+        MeasurementSet.from_dict(load_json(run / "measurements.json")),
+        HierarchySubset.from_dict(load_json(run / "subset.json")),
+        2,
+        load_config(config).plan.dt,
+    )
+    np.testing.assert_array_equal(matrix, problem.matrix)
+    np.testing.assert_array_equal(target, problem.target)
     csv_lines = (out / "mitigated.csv").read_text().strip().splitlines()
     assert csv_lines[0] == "method,observable,step,time,value,std,reference"
     assert len(csv_lines) == 1 + 2 * 2 * 6
@@ -222,6 +232,27 @@ def test_unknown_config_key_exits_2(tmp_path, capsys):
     config = write_config(tmp_path, {"bogus": 1})
     assert main(["simulate", "--config", str(config)]) == 2
     assert "bogus" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "overrides",
+    [
+        {"plan": {"total_time": float("inf")}},
+        {"plan": {"fold_levels": [0.0, float("inf")]}},
+        {"schwinger": {"volume": float("inf")}},
+        {"mitigation": {"g_weight": float("inf")}},
+        {"scan": {"l0_values": [0.0, float("inf")]}},
+    ],
+    ids=["total_time", "fold_levels", "volume", "g_weight", "l0_values"],
+)
+def test_non_finite_config_values_exit_2(tmp_path, capsys, overrides):
+    # json writes these as the non-standard literal Infinity, which it also reads
+    config = write_config(tmp_path, overrides)
+    assert "Infinity" in config.read_text()
+    out = tmp_path / "run"
+    assert main(["simulate", "--config", str(config), "--out-dir", str(out)]) == 2
+    assert "finite" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_oversized_system_exits_3(tmp_path, capsys):

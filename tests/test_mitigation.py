@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
@@ -101,16 +102,26 @@ def test_layout_shape_identity(rng):
 
 
 def test_layout_rows_partition(rng):
-    layout = ProblemLayout(2, 3, 2, 1, 2)
-    zne_rows = {
-        layout.zne_row(q, s, k)
-        for q in range(2)
-        for s in range(1, 4)
-        for k in range(2)
-    }
-    g_rows = {layout.g_row(e, step) for e in range(2) for step in range(4)}
-    assert zne_rows | g_rows == set(range(layout.n_rows))
-    assert not zne_rows & g_rows
+    # the paper-form view: one Vandermonde row per measured point, touching
+    # only its own block's columns, then constraint rows that touch only the
+    # extraction columns
+    base = random_measurements(rng, n_correlators=2, n_steps=3, n_levels=2)
+    ms = MeasurementSet(toy_subset().correlators, base.values, base.eps, base.initial, None)
+    problem = assemble(ms, toy_subset(), 1, 0.5)
+    layout = problem.layout
+    n_data = ms.values.size
+    assert problem.matrix.shape == (layout.n_rows, layout.n_cols)
+    assert layout.n_rows == n_data + 2 * 4
+    for row in range(n_data):
+        block = row // layout.n_levels
+        cols = np.flatnonzero(problem.matrix[row])
+        assert set(cols) <= {block * 2, block * 2 + 1}
+        assert problem.target[row] == ms.values.ravel()[row]
+    extraction = set(layout.extraction_indices().ravel())
+    assert set(np.flatnonzero(problem.matrix[n_data:].any(axis=0))) <= extraction
+    np.testing.assert_array_equal(
+        problem.matrix[n_data:][:, sorted(extraction)], problem.constraints
+    )
 
 
 def toy_subset() -> HierarchySubset:
@@ -144,8 +155,7 @@ def test_assemble_unconstrained_is_block_diagonal():
     expected = np.zeros((8, 8))
     for q in range(2):
         for s in (1, 2):
-            row = layout.zne_row(q, s, 0)
-            col = layout.col_block(q, s)
+            row = col = (q * 2 + s - 1) * 2
             expected[row : row + 2, col] = ms.eps[s - 1]
             expected[row : row + 2, col + 1] = 1.0
     np.testing.assert_array_equal(problem.matrix, expected)
@@ -169,8 +179,9 @@ def test_assemble_validation():
         assemble(ms, None, -1, 0.5)
     with pytest.raises(ValueError):
         assemble(ms, None, 1, 0.0)
-    with pytest.raises(ValueError):
-        assemble(ms, None, 1, 0.5, g_weight=-1.0)
+    for g_weight in (-1.0, math.inf, math.nan):
+        with pytest.raises(ValueError, match="g_weight"):
+            assemble(ms, None, 1, 0.5, g_weight=g_weight)
 
 
 def test_unconstrained_solve_matches_per_slice_fits(rng):
@@ -356,15 +367,12 @@ def test_propagated_std_matches_monte_carlo(rng):
         std = propagate_std(cov, result.extrapolations.shape)
         np.testing.assert_array_equal(std, np.sqrt(np.diag(cov)).reshape(std.shape))
 
-        # redraw the measured rows and solve each noisy problem
+        # redraw the measured values and solve each noisy problem
         draws = 3000
-        n_data = ms.values.size
-        noise = rng.normal(size=(draws, n_data)) * np.sqrt(variances).ravel()
+        noise = rng.normal(size=(draws, *variances.shape)) * np.sqrt(variances)
         samples = np.empty((draws, std.size))
         for i in range(draws):
-            target = problem.target.copy()
-            target[:n_data] += noise[i]
-            noisy = MitigationProblem(problem.matrix, target, problem.layout)
+            noisy = replace(problem, data=problem.data + noise[i].reshape(problem.data.shape))
             samples[i] = solve(noisy).extrapolations.ravel()
         mc_std = samples.std(axis=0).reshape(std.shape)
         np.testing.assert_allclose(std, mc_std, rtol=0.12)
@@ -420,22 +428,53 @@ def test_zero_weight_constraints_match_unconstrained():
 
 
 def test_problem_shape_validation():
-    layout = ProblemLayout(1, 2, 2, 1, 0)
-    with pytest.raises(ValueError):
-        MitigationProblem(np.zeros((3, 4)), np.zeros(3), layout)
-    with pytest.raises(ValueError):
-        MitigationProblem(np.zeros((4, 4)), np.zeros(5), layout)
-    with pytest.raises(ValueError):
-        solve(
-            MitigationProblem(
-                np.full((4, 4), np.nan), np.zeros(4), layout
-            )
-        )
-    # an entry outside the Vandermonde blocks and extraction columns
-    problem = MitigationProblem(np.eye(4), np.zeros(4), layout)
-    problem.matrix[0, 3] = 1.0
-    with pytest.raises(ValueError):
-        solve(problem)
+    # one correlator, two steps, two levels, degree 1, one equation: two
+    # blocks of 2 x 2 Vandermonde rows and three constraint rows
+    layout = ProblemLayout(1, 2, 2, 1, 1)
+    good = {
+        "vander": np.ones((2, 2, 2)),
+        "data": np.zeros((2, 2)),
+        "constraints": np.zeros((3, 2)),
+        "rhs": np.zeros(3),
+    }
+    problem = MitigationProblem(**good, layout=layout)
+    assert problem.matrix.shape == (layout.n_rows, layout.n_cols)
+    assert problem.target.shape == (layout.n_rows,)
+    for name, shape in (
+        ("vander", (2, 2, 3)),
+        ("vander", (4, 2)),
+        ("data", (2, 3)),
+        ("data", (4,)),
+        ("constraints", (2, 2)),
+        ("constraints", (3, 3)),
+        ("rhs", (2,)),
+    ):
+        with pytest.raises(ValueError, match=name):
+            MitigationProblem(**{**good, name: np.zeros(shape)}, layout=layout)
+    # a hand-written subset can carry a non-finite coefficient
+    for name, array in good.items():
+        for bad in (np.nan, np.inf):
+            broken = array.copy()
+            broken.flat[-1] = bad
+            with pytest.raises(ValueError, match="non-finite"):
+                MitigationProblem(**{**good, name: broken}, layout=layout)
+    subset = toy_subset()
+    nan_subset = HierarchySubset(
+        (BbgkyEquation(subset.equations[0].lhs, ((math.nan, subset.correlators[1]),)),),
+        subset.correlators, 2, 0,
+    )
+    with pytest.raises(ValueError, match="non-finite"):
+        assemble(toy_measurements(), nan_subset, 1, 0.5)
+
+
+def test_solve_does_not_depend_on_constraint_memory_order(rng):
+    base = random_measurements(rng, n_correlators=2, n_steps=5, n_levels=4)
+    ms = MeasurementSet(toy_subset().correlators, base.values, base.eps, base.initial, 4096)
+    problem = assemble(ms, toy_subset(), 2, 0.3)
+    c_ordered = replace(problem, constraints=np.ascontiguousarray(problem.constraints))
+    ours, theirs = solve(problem), solve(c_ordered)
+    assert ours.extrapolations.tobytes() == theirs.extrapolations.tobytes()
+    assert ours.sensitivity.tobytes() == theirs.sensitivity.tobytes()
 
 
 def test_solve_rejects_too_few_distinct_levels():

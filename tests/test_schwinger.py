@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from bbgky_zne.errors import IllPosedFitError
+from bbgky_zne.mitigation import run_mitigation
 from bbgky_zne.pauli import PauliString, dense_pauli
 from bbgky_zne.schwinger import (
     SchwingerParams,
@@ -36,6 +37,10 @@ def test_params_validation():
         SchwingerParams(0)
     with pytest.raises(ValueError):
         SchwingerParams(4, volume=0.0)
+    for field in ("mass_ratio", "volume", "l0", "penalty"):
+        for bad in (float("inf"), float("nan")):
+            with pytest.raises(ValueError, match=field):
+                SchwingerParams(4, **{field: bad})
     assert SchwingerParams(4, volume=30.0).x == pytest.approx((4 / 30) ** 2)
 
 
@@ -109,6 +114,16 @@ def test_run_cell_outputs():
         # both mitigations agree with the exact value at t=0
         assert report.series_zne[0] == pytest.approx(report.reference[0], abs=1e-12)
         assert report.series_bbgky[0] == pytest.approx(report.reference[0], abs=1e-12)
+
+
+def test_run_cell_leaves_the_dense_problem_unbuilt():
+    outcome = run_cell(SchwingerParams(2), FAST_PLAN, MILD_NOISE, 0, 2)
+    again = run_mitigation(outcome.measurements, outcome.subset, 2, FAST_PLAN.dt)
+    for output in (outcome.zne, outcome.bbgky, again):
+        assert "matrix" not in output.problem.__dict__
+        assert "target" not in output.problem.__dict__
+    # built on first use, then kept
+    assert again.problem.matrix is again.problem.matrix
 
 
 def test_run_cell_is_deterministic():

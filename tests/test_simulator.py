@@ -158,6 +158,11 @@ def test_plan_validation():
         EvolutionPlan(4, 1.0, 1, (0.0, 1.0, 1.0), None, 0)  # strictly increasing
     with pytest.raises(ValueError):
         EvolutionPlan(4, 1.0, 1, (0.0,), 0, 0)
+    for bad in (math.inf, math.nan):
+        with pytest.raises(ValueError, match="total_time"):
+            EvolutionPlan(4, bad, 1, (0.0,), None, 0)
+        with pytest.raises(ValueError, match="fold_levels"):
+            EvolutionPlan(4, 1.0, 1, (0.0, 1.0, bad), None, 0)
     plan = EvolutionPlan(4, 2.0, 1, (0.0, 1.5), None, 0)
     assert plan.dt == pytest.approx(0.5)
     assert plan.times == (0.0, 0.5, 1.0, 1.5, 2.0)
