@@ -22,6 +22,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import ResourceLimitError
+from .jsonio import require_keys
 from .pauli import PauliString, all_strings, dense_pauli
 
 #: coefficients with magnitude below this are dropped after merging
@@ -175,6 +176,7 @@ class BbgkyEquation:
 
     @classmethod
     def from_dict(cls, data: dict) -> "BbgkyEquation":
+        require_keys(data, ("lhs", "terms"), "equation")
         return cls(
             PauliString.parse(data["lhs"]),
             tuple((float(t["coeff"]), PauliString.parse(t["string"])) for t in data["terms"]),
@@ -379,6 +381,7 @@ class HierarchySubset:
 
     @classmethod
     def from_dict(cls, data: dict) -> "HierarchySubset":
+        require_keys(data, ("seeds", "r", "equations", "correlators"), "hierarchy subset")
         return cls(
             tuple(BbgkyEquation.from_dict(e) for e in data["equations"]),
             tuple(PauliString.parse(t) for t in data["correlators"]),

@@ -43,6 +43,15 @@ def load_json(path: str | Path):
         return json.load(handle)
 
 
+def require_keys(data, keys: tuple[str, ...], what: str) -> None:
+    """Raise ValueError unless ``data`` is a JSON object holding ``keys``."""
+    if not isinstance(data, dict):
+        raise ValueError(f"{what} must be a JSON object, got {type(data).__name__}")
+    missing = [key for key in keys if key not in data]
+    if missing:
+        raise ValueError(f"{what} lacks {', '.join(map(repr, missing))}")
+
+
 def _format_cell(value) -> str:
     if isinstance(value, bool):
         return str(value)

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import product
-from typing import Iterable, Iterator, Mapping
+from typing import Iterator, Mapping
 
 import numpy as np
 
@@ -44,14 +44,9 @@ class PauliString:
     factors: tuple[tuple[int, int], ...] = ()
 
     def __post_init__(self) -> None:
-        items: Iterable
-        if isinstance(self.factors, Mapping):
-            items = self.factors.items()
-        else:
-            items = self.factors
         pairs = []
         seen = set()
-        for site, axis in items:
+        for site, axis in self.factors:
             site = int(site)
             axis = int(axis)
             if site < 1:
@@ -124,11 +119,6 @@ class PauliString:
     def __str__(self) -> str:
         return self.token()
 
-    # -- dense form ------------------------------------------------------------
-
-    def matrix(self, n_qubits: int) -> np.ndarray:
-        return dense_pauli(self, n_qubits)
-
 
 def dense_pauli(string: PauliString, n_qubits: int) -> np.ndarray:
     """Dense matrix of a Pauli string, site 1 as the leftmost factor."""
@@ -161,22 +151,6 @@ def parse_basis_label(label: str, n_qubits: int) -> tuple[int, ...]:
             f"basis label must be {n_qubits} characters of 0/1, got {label!r}"
         )
     return tuple(int(c) for c in label)
-
-
-def basis_expectation(string: PauliString, bits: tuple[int, ...]) -> float:
-    """Exact expectation of a Pauli string in a computational basis state.
-
-    Each Z factor contributes +1 on ``|0>`` and -1 on ``|1>``; any X or Y
-    factor makes the expectation vanish.
-    """
-    value = 1.0
-    for site, axis in string.factors:
-        if site > len(bits):
-            raise ValueError(f"string references site {site} beyond the register")
-        if axis != 3:
-            return 0.0
-        value *= 1.0 - 2.0 * bits[site - 1]
-    return value
 
 
 @dataclass(frozen=True)

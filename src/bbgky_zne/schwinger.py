@@ -213,24 +213,15 @@ def run_cell(
     return CellOutcome(params, subset, measurements, zne, bbgky, reports)
 
 
-@dataclass(frozen=True)
-class CellResult:
-    """Error norms of one observable at one scan cell."""
-
-    L_zne: float
-    dL_zne: float
-    L_bbgky: float
-    dL_bbgky: float
-
-
 @dataclass
 class ScanGrid:
-    """Error-norm tables over an (l0, m/g) grid."""
+    """Observable reports, and the error-norm tables read from them, over an
+    (l0, m/g) grid."""
 
     l0_values: tuple[float, ...]
     mass_values: tuple[float, ...]
     observables: tuple[str, ...]
-    cells: dict[tuple[int, int], dict[str, CellResult]]
+    cells: dict[tuple[int, int], dict[str, ObservableReport]]
 
     def csv_rows(self) -> tuple[list[str], list[tuple]]:
         header = ["l0", "m_over_g", "observable", "L0", "dL0", "Lb", "dLb"]
@@ -311,7 +302,7 @@ def run_scan(
     mass_values = tuple(float(v) for v in mass_values)
     if not l0_values or not mass_values:
         raise ValueError("scan grid must be non-empty")
-    cells: dict[tuple[int, int], dict[str, CellResult]] = {}
+    cells: dict[tuple[int, int], dict[str, ObservableReport]] = {}
     for i, l0 in enumerate(l0_values):
         for j, mass in enumerate(mass_values):
             params = replace(base_params, l0=l0, mass_ratio=mass)
@@ -319,12 +310,7 @@ def run_scan(
             outcome = run_cell(
                 params, cell_plan, noise, radius, degree, g_weight, initial_state
             )
-            cells[(i, j)] = {
-                name: CellResult(
-                    report.L_zne, report.dL_zne, report.L_bbgky, report.dL_bbgky
-                )
-                for name, report in outcome.reports.items()
-            }
+            cells[(i, j)] = outcome.reports
     return ScanGrid(
         l0_values, mass_values, tuple(tracked_observables(base_params.n_qubits)), cells
     )

@@ -1,8 +1,13 @@
 """Noisy Trotterized time evolution of small spin registers.
 
-Density matrices are evolved exactly (dense linear algebra), with a uniform
-depolarizing channel applied after every Trotter factor and an optional
-readout bit-flip folded into each measured expectation. Noise amplification
+The register state is held in Pauli-transfer form: a real tensor ``r`` of
+shape ``(4,) * n`` whose entry ``r[a_1, ..., a_n]`` is the expectation of
+the string with axis ``a_i`` on site i (axis 0 is the identity), in the
+digit order of :func:`~bbgky_zne.pauli.all_strings`. Every Trotter factor
+acts on it through its 4^k x 4^k transfer matrix on its own k <= 2 sites,
+and a uniform depolarizing channel, applied after every factor, is diagonal:
+it damps each string that touches its sites. An optional readout bit-flip is
+folded into each measured expectation. Noise amplification
 follows the unitary-folding picture at fractional levels eta: after step s
 the cumulative number of inserted identity pairs is ``floor(eta * s)``, and
 each pair contributes two extra noisy step-equivalents (noise channels only,
@@ -20,23 +25,21 @@ shift are both bypassed and exact noisy expectations are returned.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
+from functools import lru_cache, reduce
 from typing import Sequence
 
 import numpy as np
 
 from .errors import ResourceLimitError
 from .hierarchy import SpinHamiltonian
-from .pauli import (
-    ObservableCombination,
-    PauliString,
-    basis_expectation,
-    dense_pauli,
-    parse_basis_label,
-)
+from .jsonio import require_keys
+from .pauli import ObservableCombination, PauliString, all_strings, dense_pauli, parse_basis_label
 
-#: qubit caps of the dense 2^n x 2^n density matrix and eigenbasis
+#: qubit cap of the noisy simulation, whose state holds 4^n reals
 NOISY_MAX_QUBITS = 8
+#: qubit cap of the dense 2^n x 2^n eigenbasis of the exact reference
 EXACT_MAX_QUBITS = 10
 
 
@@ -128,6 +131,12 @@ class MeasurementSet:
     shots: int | None
 
     def __post_init__(self) -> None:
+        shots = self.shots
+        if shots is not None and (
+            isinstance(shots, bool) or not isinstance(shots, numbers.Integral) or shots < 1
+        ):
+            raise ValueError(f"shots must be a positive integer or None, got {shots!r}")
+        self.shots = None if shots is None else int(shots)
         self.correlators = tuple(self.correlators)
         self.values = np.asarray(self.values, dtype=float)
         self.eps = np.asarray(self.eps, dtype=float)
@@ -174,13 +183,14 @@ class MeasurementSet:
 
     @classmethod
     def from_dict(cls, data: dict) -> "MeasurementSet":
-        shots = data["shots"]
+        keys = ("correlators", "shots", "eps", "values", "initial")
+        require_keys(data, keys, "measurement set")
         return cls(
             tuple(PauliString.parse(t) for t in data["correlators"]),
             np.asarray(data["values"], dtype=float),
             np.asarray(data["eps"], dtype=float),
             np.asarray(data["initial"], dtype=float),
-            None if shots is None else int(shots),
+            data["shots"],
         )
 
     def csv_rows(self) -> tuple[list[str], list[tuple]]:
@@ -271,24 +281,44 @@ def factor_unitary(factor: TrotterFactor, n_qubits: int) -> np.ndarray:
     return math.cos(factor.angle) * np.eye(dim) - 1j * math.sin(factor.angle) * pauli
 
 
-def depolarize(rho: np.ndarray, sites: Sequence[int], p: float, n_qubits: int) -> np.ndarray:
-    """Uniform depolarizing channel on ``sites``: with probability p their
-    marginal is replaced by the maximally mixed state."""
-    if p == 0.0:
-        return rho
+@lru_cache(maxsize=None)
+def _pauli_basis(k: int) -> np.ndarray:
+    """Dense matrices of all 4^k strings on k qubits, in ``all_strings`` order."""
+    basis = np.array([dense_pauli(s, k) for s in all_strings(k)])
+    basis.flags.writeable = False
+    return basis
+
+
+def transfer_matrix(factor: TrotterFactor) -> np.ndarray:
+    """Pauli-transfer matrix ``R[a, b] = Tr(sigma_b U^dagger sigma_a U) / 2^k``
+    of one factor on its own k sites (multi-indices in ascending site order),
+    shaped ``(4,) * 2k`` so that ``r'_a = sum_b R[a, b] r_b``."""
+    k = len(factor.string)
+    local = PauliString(tuple(enumerate((axis for _, axis in factor.string.factors), 1)))
+    unitary = factor_unitary(TrotterFactor(local, factor.angle), k)
+    paulis = _pauli_basis(k)
+    heisenberg = unitary.conj().T @ paulis @ unitary
+    transfer = np.einsum("bij,aji->ab", paulis, heisenberg).real / 2**k
+    return transfer.reshape((4,) * (2 * k))
+
+
+def apply_transfer(r: np.ndarray, transfer: np.ndarray, sites: Sequence[int]) -> np.ndarray:
+    """Apply a transfer matrix of shape ``(4,) * 2k`` on the (1-based) sites."""
     k = len(sites)
-    dim_s = 2**k
-    tensor = rho.reshape((2,) * (2 * n_qubits))
-    ket = [s - 1 for s in sites]
-    bra = [n_qubits + s - 1 for s in sites]
-    rest = [a for a in range(2 * n_qubits) if a not in set(ket) | set(bra)]
-    perm = ket + bra + rest
-    moved = np.transpose(tensor, perm).reshape(dim_s, dim_s, -1)
-    marginal_traced = np.einsum("iij->j", moved)
-    mixed = (np.eye(dim_s, dtype=rho.dtype) / dim_s)[:, :, None] * marginal_traced[None, None, :]
-    out = (1.0 - p) * moved + p * mixed
-    out = out.reshape((2,) * (2 * n_qubits))
-    return np.transpose(out, np.argsort(perm)).reshape(rho.shape)
+    axes = [s - 1 for s in sites]
+    return np.moveaxis(np.tensordot(transfer, r, (list(range(k, 2 * k)), axes)), range(k), axes)
+
+
+def depolarize(r: np.ndarray, sites: Sequence[int], p: float, n_qubits: int) -> np.ndarray:
+    """Uniform depolarizing channel on ``sites``: with probability p their
+    marginal is replaced by the maximally mixed state, so every string that
+    acts on one of them is damped by ``1 - p``."""
+    if p == 0.0:
+        return r
+    untouched = tuple(0 if site in sites else slice(None) for site in range(1, n_qubits + 1))
+    out = (1.0 - p) * r
+    out[untouched] = r[untouched]
+    return out
 
 
 def sample_estimate(expectation: float, shots: int, rng: np.random.Generator) -> float:
@@ -299,14 +329,6 @@ def sample_estimate(expectation: float, shots: int, rng: np.random.Generator) ->
         raise ValueError(f"shots must be a positive integer, got {shots}")
     ups = rng.binomial(int(shots), 0.5 * (1.0 + expectation))
     return 2.0 * ups / shots - 1.0
-
-
-def _basis_density(bits: tuple[int, ...]) -> np.ndarray:
-    dim = 2 ** len(bits)
-    index = int("".join(str(b) for b in bits), 2)
-    rho = np.zeros((dim, dim), dtype=complex)
-    rho[index, index] = 1.0
-    return rho
 
 
 def evolve_noisy(
@@ -336,13 +358,16 @@ def evolve_noisy(
         if c.max_site() > n:
             raise ValueError(f"correlator {c.token()!r} does not fit on {n} qubits")
     bits = parse_basis_label(initial_state, n)
+    start = reduce(np.multiply.outer, [np.array([1.0, 0.0, 0.0, 1.0 - 2.0 * b]) for b in bits])
 
     factors = trotter_factors(ham, plan.dt, plan.trotter_order)
-    unitaries = [factor_unitary(f, n) for f in factors]
+    transfers = [transfer_matrix(f) for f in factors]
     supports = [f.string.sites for f in factors]
     rates = [noise.depol_1q if len(s) == 1 else noise.depol_2q for s in supports]
-    observables = [dense_pauli(c, n) for c in correlators]
-    damping = [(1.0 - 2.0 * noise.readout_flip) ** len(c) for c in correlators]
+    # r[index] lists the correlators: index[i][q] is correlator q's axis on site i+1
+    axes = [dict(c.factors) for c in correlators]
+    index = tuple(np.array([[a.get(i, 0) for a in axes] for i in range(1, n + 1)]))
+    damping = np.array([(1.0 - 2.0 * noise.readout_flip) ** len(c) for c in correlators])
 
     n_corr, n_steps, n_levels = len(correlators), plan.n_steps, len(plan.fold_levels)
     values = np.empty((n_corr, n_steps, n_levels))
@@ -350,30 +375,30 @@ def evolve_noisy(
 
     for k, eta in enumerate(plan.fold_levels):
         rng = np.random.default_rng([plan.rng_seed, k])
-        rho = _basis_density(bits)
+        r = start
         for s, pairs in enumerate(fold_schedule(eta, n_steps), start=1):
-            for unitary, support, rate in zip(unitaries, supports, rates):
-                rho = unitary @ rho @ unitary.conj().T
+            for transfer, support, rate in zip(transfers, supports, rates):
+                r = apply_transfer(r, transfer, support)
                 if rate:
-                    rho = depolarize(rho, support, rate, n)
+                    r = depolarize(r, support, rate, n)
             for _ in range(2 * pairs):
                 for support, rate in zip(supports, rates):
                     if rate:
-                        rho = depolarize(rho, support, rate, n)
+                        r = depolarize(r, support, rate, n)
 
             if plan.shots is None:
                 eps[s - 1, k] = error_level(s, eta)
             else:
                 eps[s - 1, k] = shifted_error_level(s, eta, plan.shots, rng)
-            for q in range(n_corr):
-                value = float(np.einsum("ij,ji->", rho, observables[q]).real) * damping[q]
-                value = min(1.0, max(-1.0, value))
-                if plan.shots is None:
-                    values[q, s - 1, k] = value
-                else:
-                    values[q, s - 1, k] = sample_estimate(value, plan.shots, rng)
+            expectations = np.clip(r[index] * damping, -1.0, 1.0)
+            if plan.shots is None:
+                values[:, s - 1, k] = expectations
+            else:
+                for q in range(n_corr):
+                    values[q, s - 1, k] = sample_estimate(expectations[q], plan.shots, rng)
 
-    initial = np.array([basis_expectation(c, bits) for c in correlators])
+    # + 0.0 turns the -0.0 that a product with a -1 factor leaves into 0.0
+    initial = start[index] + 0.0
     return MeasurementSet(correlators, values, eps, initial, plan.shots)
 
 

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from functools import lru_cache
 from itertools import product
 
 import numpy as np
@@ -23,12 +24,14 @@ SIGMA = {
 }
 
 
+@lru_cache(maxsize=None)
 def dense_string(axes: tuple[int, ...]) -> np.ndarray:
     """Tensor product of single-site Pauli matrices; axes[k] acts on site k+1
-    (leftmost factor)."""
+    (leftmost factor). Memoized, so the result is read-only."""
     out = np.array([[1.0 + 0.0j]])
     for axis in axes:
         out = np.kron(out, SIGMA[axis])
+    out.flags.writeable = False
     return out
 
 
@@ -145,6 +148,12 @@ def component_sizes(n_qubits: int, h: np.ndarray, V: np.ndarray) -> list[int]:
     return sorted(sizes.values())
 
 
+def bits_index(bits) -> int:
+    """Row of a basis state in a dense matrix, first bit most significant;
+    the empty register has the one row 0."""
+    return int("".join(map(str, bits)) or "0", 2)
+
+
 def partial_trace(rho: np.ndarray, keep_out: list[int], n_qubits: int) -> np.ndarray:
     """Trace out the (1-based) sites in keep_out with explicit bit loops."""
     kept = [s for s in range(1, n_qubits + 1) if s not in keep_out]
@@ -157,14 +166,14 @@ def partial_trace(rho: np.ndarray, keep_out: list[int], n_qubits: int) -> np.nda
             bits[site - 1] = b
         for site, b in zip(keep_out, traced_bits):
             bits[site - 1] = b
-        return int("".join(str(b) for b in bits), 2)
+        return bits_index(bits)
 
     for a in product((0, 1), repeat=len(kept)):
         for b in product((0, 1), repeat=len(kept)):
             total = 0.0 + 0.0j
             for t in product((0, 1), repeat=len(keep_out)):
                 total += rho[full_index(a, t), full_index(b, t)]
-            out[int("".join(map(str, a)), 2), int("".join(map(str, b)), 2)] = total
+            out[bits_index(a), bits_index(b)] = total
     return out
 
 
@@ -184,14 +193,91 @@ def depolarize_reference(
             bits[site - 1] = b
         for site, b in zip(sites, site_bits):
             bits[site - 1] = b
-        return int("".join(str(b) for b in bits), 2)
+        return bits_index(bits)
 
     for a in product((0, 1), repeat=len(kept)):
         for b in product((0, 1), repeat=len(kept)):
-            value = marginal[int("".join(map(str, a)), 2), int("".join(map(str, b)), 2)]
+            value = marginal[bits_index(a), bits_index(b)]
             for t in product((0, 1), repeat=len(sites)):
                 mixed[full_index(a, t), full_index(b, t)] += value / d_s
     return (1.0 - p) * rho + p * mixed
+
+
+def pauli_vector(rho: np.ndarray, n_qubits: int) -> np.ndarray:
+    """Pauli coordinates ``r_a = Tr(rho sigma_a)`` as a real ``(4,) * n``
+    tensor, axes[k] on site k+1."""
+    out = np.empty((4,) * n_qubits)
+    for axes in all_axes(n_qubits, include_identity=True):
+        out[axes] = np.trace(rho @ dense_string(axes)).real
+    return out
+
+
+def noisy_campaign_reference(
+    n_qubits: int,
+    factors: list[tuple[tuple[int, ...], float]],
+    bits: tuple[int, ...],
+    plan,
+    noise,
+    correlators: list[tuple[int, ...]],
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Dense density-matrix replay of the noisy measurement campaign.
+
+    ``factors`` lists ``(axes, angle)`` in circuit order; each factor is
+    ``exp(-i angle P)`` built from the eigendecomposition of its dense string
+    and followed by :func:`depolarize_reference` on its sites. A fold pair
+    adds two noise-only passes. Readings are dense traces. Random draws
+    follow the campaign order: per fold level a generator seeded
+    ``[rng_seed, level]``, per step the level shift, then one binomial per
+    correlator. Returns ``(values, eps, initial)``.
+    """
+    unitaries = []
+    for axes, angle in factors:
+        w, v = np.linalg.eigh(dense_string(axes))
+        unitaries.append((v * np.exp(-1j * angle * w)) @ v.conj().T)
+    supports = [[k + 1 for k, a in enumerate(axes) if a] for axes, _ in factors]
+    rates = [noise.depol_1q if len(s) == 1 else noise.depol_2q for s in supports]
+    observables = [dense_string(axes) for axes in correlators]
+    damping = [(1.0 - 2.0 * noise.readout_flip) ** sum(map(bool, axes)) for axes in correlators]
+
+    start = np.zeros((2**n_qubits, 2**n_qubits), dtype=complex)
+    index = bits_index(bits)
+    start[index, index] = 1.0
+    n_steps, shots = plan.n_steps, plan.shots
+    values = np.empty((len(correlators), n_steps, len(plan.fold_levels)))
+    eps = np.empty((n_steps, len(plan.fold_levels)))
+    for k, eta in enumerate(plan.fold_levels):
+        rng = np.random.default_rng([plan.rng_seed, k])
+        rho = start
+        done = 0
+        for s in range(1, n_steps + 1):
+            for unitary, support, rate in zip(unitaries, supports, rates):
+                rho = unitary @ rho @ unitary.conj().T
+                if rate:
+                    rho = depolarize_reference(rho, support, rate, n_qubits)
+            pairs = math.floor(eta * s) - done
+            done += pairs
+            for _ in range(2 * pairs):
+                for support, rate in zip(supports, rates):
+                    if rate:
+                        rho = depolarize_reference(rho, support, rate, n_qubits)
+
+            level = (s + 2.0 * math.floor(eta * s)) / s
+            if shots is None:
+                eps[s - 1, k] = level
+            else:
+                width = 1.0 / math.sqrt(shots)
+                shift = float(rng.normal(0.0, width))
+                eps[s - 1, k] = level + max(-5.0 * width, min(5.0 * width, shift))
+            for q, obs in enumerate(observables):
+                value = float(np.trace(rho @ obs).real) * damping[q]
+                value = min(1.0, max(-1.0, value))
+                if shots is None:
+                    values[q, s - 1, k] = value
+                else:
+                    ups = rng.binomial(shots, 0.5 * (1.0 + value))
+                    values[q, s - 1, k] = 2.0 * ups / shots - 1.0
+    initial = np.array([np.trace(start @ obs).real for obs in observables])
+    return values, eps, initial
 
 
 def rk4_expectations(

@@ -341,6 +341,58 @@ def test_missing_measurement_file_exits_2(tmp_path, capsys):
     assert code == 2
 
 
+@pytest.fixture(scope="module")
+def simulated_run(tmp_path_factory):
+    root = tmp_path_factory.mktemp("simulated")
+    config = write_config(root)
+    assert main(["simulate", "--config", str(config), "--out-dir", str(root / "run")]) == 0
+    return config, root / "run"
+
+
+def _set(key, value):
+    def edit(doc):
+        doc[key] = value
+        return doc
+    return edit
+
+
+def _drop(key):
+    def edit(doc):
+        del doc[key]
+        return doc
+    return edit
+
+
+@pytest.mark.parametrize(
+    "target,edit",
+    [
+        ("measurements", _set("shots", 0)),
+        ("measurements", _set("shots", 2.7)),
+        ("measurements", _drop("eps")),
+        ("measurements", lambda doc: [doc]),
+        ("subset", _drop("r")),
+        ("subset", lambda doc: [doc]),
+    ],
+    ids=["zero-shots", "fractional-shots", "no-eps", "list-measurements", "no-r", "list-subset"],
+)
+def test_malformed_input_files_exit_2(simulated_run, tmp_path, capsys, target, edit):
+    config, run = simulated_run
+    paths = {"measurements": run / "measurements.json", "subset": run / "subset.json"}
+    paths[target] = tmp_path / f"{target}.json"
+    paths[target].write_text(json.dumps(edit(json.loads((run / f"{target}.json").read_text()))))
+    code = main(
+        [
+            "mitigate",
+            "--config", str(config),
+            "--out-dir", str(tmp_path / "fit"),
+            "--measurements", str(paths["measurements"]),
+            "--subset", str(paths["subset"]),
+        ]
+    )
+    assert code == 2
+    assert "invalid input" in capsys.readouterr().err
+
+
 def test_custom_hierarchy_seeds_flow_through(tmp_path):
     config = write_config(tmp_path, {"hierarchy": {"seeds": ["Z1"]}})
     out = tmp_path / "out"

@@ -5,7 +5,6 @@ from bbgky_zne.pauli import (
     ObservableCombination,
     PauliString,
     all_strings,
-    basis_expectation,
     dense_pauli,
     parse_basis_label,
 )
@@ -97,31 +96,6 @@ def test_parse_basis_label():
         parse_basis_label("01", 4)
     with pytest.raises(ValueError):
         parse_basis_label("01a1", 4)
-
-
-def test_basis_expectation_z_strings():
-    bits = (0, 1, 0, 1)
-    assert basis_expectation(PauliString.parse("Z1"), bits) == 1.0
-    assert basis_expectation(PauliString.parse("Z2"), bits) == -1.0
-    assert basis_expectation(PauliString.parse("Z1 Z2"), bits) == -1.0
-    assert basis_expectation(PauliString.parse("Z2 Z4"), bits) == 1.0
-    assert basis_expectation(PauliString.parse("X1"), bits) == 0.0
-    assert basis_expectation(PauliString.parse("Y2 Z3"), bits) == 0.0
-
-
-def test_basis_expectation_matches_dense(rng):
-    n = 3
-    for _ in range(10):
-        axes = tuple(int(a) for a in rng.integers(0, 4, size=n))
-        if not any(axes):
-            continue
-        s = PauliString(tuple((k + 1, a) for k, a in enumerate(axes) if a))
-        bits = tuple(int(b) for b in rng.integers(0, 2, size=n))
-        index = int("".join(map(str, bits)), 2)
-        dense = dense_pauli(s, n)
-        assert basis_expectation(s, bits) == pytest.approx(
-            float(dense[index, index].real), abs=1e-14
-        )
 
 
 def test_combination_merges_and_drops_zero_terms():

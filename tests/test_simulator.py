@@ -23,7 +23,14 @@ from bbgky_zne.simulator import (
     trotter_factors,
 )
 from conftest import random_hamiltonian, random_measurements
-from oracles import dense_hamiltonian, depolarize_reference, rk4_expectations
+from oracles import (
+    axes_of,
+    dense_hamiltonian,
+    depolarize_reference,
+    noisy_campaign_reference,
+    pauli_vector,
+    rk4_expectations,
+)
 
 
 def test_error_level_values():
@@ -118,23 +125,22 @@ def test_depolarize_matches_reference(rng):
         raw = rng.normal(size=(8, 8)) + 1j * rng.normal(size=(8, 8))
         rho = raw @ raw.conj().T
         rho /= np.trace(rho).real
+        r = pauli_vector(rho, n)
         for p in (0.0, 0.3, 1.0):
-            ours = depolarize(rho, sites, p, n)
+            ours = depolarize(r, sites, p, n)
             np.testing.assert_allclose(
-                ours, depolarize_reference(rho, sites, p, n), atol=1e-13
+                ours, pauli_vector(depolarize_reference(rho, sites, p, n), n), atol=1e-13
             )
-        assert np.trace(depolarize(rho, sites, 0.7, n)) == pytest.approx(1.0)
+        assert depolarize(r, sites, 0.7, n)[0, 0, 0] == pytest.approx(1.0)
 
 
 def test_depolarize_full_strength_mixes_marginal(rng):
     raw = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
     rho = raw @ raw.conj().T
     rho /= np.trace(rho).real
-    out = depolarize(rho, [1], 1.0, 2)
-    z1 = dense_pauli(PauliString.parse("Z1"), 2)
-    x1 = dense_pauli(PauliString.parse("X1"), 2)
-    assert abs(np.einsum("ij,ji->", out, z1)) < 1e-12
-    assert abs(np.einsum("ij,ji->", out, x1)) < 1e-12
+    out = depolarize(pauli_vector(rho, 2), [1], 1.0, 2)
+    assert abs(out[3, 0]) < 1e-12  # Z1
+    assert abs(out[1, 0]) < 1e-12  # X1
 
 
 def test_sample_estimate_statistics():
@@ -195,6 +201,68 @@ def test_noiseless_run_equals_unitary_trotter(rng):
     assert result.eps[0, 0] == 1.0
     assert result.eps[0, 1] == 3.0
     np.testing.assert_allclose(result.initial, [1.0, 0.0], atol=1e-14)
+
+
+@pytest.mark.parametrize("n_qubits", [2, 3])
+@pytest.mark.parametrize("order", [1, 2])
+def test_evolve_noisy_matches_dense_density_matrix(rng, n_qubits, order):
+    ham = random_hamiltonian(rng, n_qubits)
+    noise = NoiseModel(0.01, 0.03, 0.02)
+    correlators = (
+        PauliString.parse("Z1"),
+        PauliString.parse("X1 Y2"),
+        PauliString.parse("Z1 Z2"),
+        PauliString.single(n_qubits, 1),
+    )
+    bits = tuple(int(b) for b in rng.integers(0, 2, size=n_qubits))
+    label = "".join(map(str, bits))
+    for shots in (None, 256):
+        # fold levels 0.5 and 1.0 insert identity pairs after steps 2 and 1..3
+        plan = EvolutionPlan(3, 0.6, order, (0.0, 0.5, 1.0), shots, 5)
+        ours = evolve_noisy(ham, label, plan, noise, correlators)
+        factors = [
+            (axes_of(f.string.factors, n_qubits), f.angle)
+            for f in trotter_factors(ham, plan.dt, order)
+        ]
+        values, eps, initial = noisy_campaign_reference(
+            n_qubits, factors, bits, plan, noise,
+            [axes_of(c.factors, n_qubits) for c in correlators],
+        )
+        if shots is None:
+            np.testing.assert_allclose(ours.values, values, rtol=0, atol=1e-12)
+        else:
+            np.testing.assert_array_equal(ours.values, values)
+        np.testing.assert_array_equal(ours.eps, eps)
+        np.testing.assert_array_equal(ours.initial, initial)
+
+
+def test_initial_values_of_z_strings(rng):
+    strings = ("Z1", "Z2", "Z1 Z2", "Z2 Z4", "X1", "Y2 Z3", "X1 Z2")
+    initial = evolve_noisy(
+        random_hamiltonian(rng, 4), "0101", EvolutionPlan(1, 0.1, 1, (0.0,), None, 0),
+        NoiseModel(0.0, 0.0, 0.0), tuple(PauliString.parse(t) for t in strings),
+    ).initial
+    assert initial.tolist() == [1.0, -1.0, -1.0, 1.0, 0.0, 0.0, 0.0]
+    # X1 Z2 on |0101> is 0 * -1, which must not be written as -0.0
+    assert not np.signbit(initial[4:]).any()
+
+
+def test_initial_values_match_dense(rng):
+    n = 3
+    ham = random_hamiltonian(rng, n)
+    plan = EvolutionPlan(1, 0.1, 1, (0.0,), None, 0)
+    for _ in range(10):
+        axes = tuple(int(a) for a in rng.integers(0, 4, size=n))
+        if not any(axes):
+            continue
+        s = PauliString(tuple((k + 1, a) for k, a in enumerate(axes) if a))
+        bits = tuple(int(b) for b in rng.integers(0, 2, size=n))
+        index = int("".join(map(str, bits)), 2)
+        dense = dense_pauli(s, n)
+        initial = evolve_noisy(
+            ham, "".join(map(str, bits)), plan, NoiseModel(0.0, 0.0, 0.0), (s,)
+        ).initial
+        assert initial[0] == pytest.approx(float(dense[index, index].real), abs=1e-14)
 
 
 def test_evolution_is_deterministic(rng):
