@@ -15,11 +15,7 @@ from .hierarchy import (
     decompose,
     derive_equation,
     downstream,
-    levi_partner,
-    levi_sign,
     select_subset,
-    upstream,
-    upstream_connections,
 )
 from .mitigation import (
     MitigationOutput,
@@ -104,8 +100,6 @@ __all__ = [
     "extrapolation_covariance",
     "fold_schedule",
     "hierarchy_seeds",
-    "levi_partner",
-    "levi_sign",
     "measurement_variances",
     "observable_covariance",
     "observable_series",
@@ -119,8 +113,6 @@ __all__ = [
     "solve",
     "tracked_observables",
     "trotter_factors",
-    "upstream",
-    "upstream_connections",
     "zne_baseline",
 ]
 

@@ -4,53 +4,36 @@ For a Hamiltonian with one- and two-site terms,
 
 ``H = 1/2 sum_i h_i^mu sigma_i^mu + 1/4 sum_{i<j} V_ij^{mu nu} sigma_i^mu sigma_j^nu``,
 
-the Heisenberg derivative ``d/dt <s> = i <[H, s]>`` of any Pauli-string
-expectation is again a finite combination of Pauli-string expectations (a
-BBGKY-type hierarchy). Because H has at most two-site terms, each equation
-couples a string of weight n only to strings of weight n-1, n and n+1, and
-every (source, target) connection is produced by exactly one commutator
-route. That single-route structure is what makes the hierarchy invertible
-by local rules: ``upstream`` finds all strings whose equation contains a
-given target without scanning the exponentially large string space.
+written as a sum ``sum_P c_P P`` of Pauli strings, the Heisenberg derivative
+``d/dt <s> = i <[H, s]>`` of any Pauli-string expectation is again a finite
+combination of Pauli-string expectations (a BBGKY-type hierarchy). A term
+that commutes with s drops out; one that anticommutes gives
+``i c_P [P, s] = 2 i c_P P s = +-2 c_P t`` for the single string t = P s.
+Because H has at most two-site terms, each equation couples a string of
+weight n only to strings of weight n-1, n and n+1, and distinct terms of H
+reach distinct strings t.
+
+Since ``t = P s`` means ``s = P t``, and the phase of P t is the conjugate of
+that of P s, the coefficient of ``<t>`` in the equation of s is exactly minus
+the coefficient of ``<s>`` in the equation of t: the generator is
+antisymmetric, so the hierarchy graph is undirected and the strings whose
+equations contain s are the strings of the equation of s.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
 
 from .errors import ResourceLimitError
 from .jsonio import require_keys
-from .pauli import PauliString, all_strings, dense_pauli
+from .pauli import PauliString, all_strings, dense_pauli, multiply
 
-#: coefficients with magnitude below this are dropped after merging
+#: equation coefficients with magnitude below this are dropped
 COEFF_TOL = 1e-12
-
-_LEVI_PARTNER = {(1, 2): 3, (2, 1): 3, (1, 3): 2, (3, 1): 2, (2, 3): 1, (3, 2): 1}
-_LEVI_SIGN = {
-    (1, 2, 3): 1.0,
-    (2, 3, 1): 1.0,
-    (3, 1, 2): 1.0,
-    (2, 1, 3): -1.0,
-    (3, 2, 1): -1.0,
-    (1, 3, 2): -1.0,
-}
-
-
-def levi_partner(mu: int, nu: int) -> int:
-    """The unique third axis forming a nonzero Levi-Civita triple with mu, nu."""
-    if mu not in (1, 2, 3) or nu not in (1, 2, 3):
-        raise ValueError(f"axes must be in 1..3, got ({mu}, {nu})")
-    if mu == nu:
-        raise ValueError(f"no Levi-Civita partner for equal axes ({mu}, {nu})")
-    return _LEVI_PARTNER[(mu, nu)]
-
-
-def levi_sign(mu: int, nu: int, lam: int) -> float:
-    return _LEVI_SIGN.get((mu, nu, lam), 0.0)
-
 
 @dataclass(frozen=True)
 class SpinHamiltonian:
@@ -121,23 +104,26 @@ class SpinHamiltonian:
             return float(self.V[i - 1, j - 1, mu - 1, nu - 1])
         return float(self.V[j - 1, i - 1, nu - 1, mu - 1])
 
+    @cached_property
+    def terms(self) -> tuple[tuple[PauliString, float], ...]:
+        """H as ``(P, c)`` pairs with ``H = sum c * P``: fields ascending by
+        (site, axis) with ``c = h / 2``, then couplings ascending by
+        (i, j, mu, nu) with ``c = V / 4``. Zero coefficients are skipped."""
+        fields = [
+            (PauliString.single(i + 1, mu + 1), 0.5 * float(self.h[i, mu]))
+            for i, mu in np.argwhere(self.h)
+        ]
+        couplings = [
+            (PauliString(((i + 1, mu + 1), (j + 1, nu + 1))), 0.25 * float(self.V[i, j, mu, nu]))
+            for i, j, mu, nu in np.argwhere(self.V)
+        ]
+        return tuple(fields + couplings)
+
     def dense(self) -> np.ndarray:
         dim = 2**self.n_qubits
         out = np.zeros((dim, dim), dtype=complex)
-        for i in range(1, self.n_qubits + 1):
-            for mu in (1, 2, 3):
-                value = self.field(i, mu)
-                if value:
-                    out += 0.5 * value * dense_pauli(PauliString.single(i, mu), self.n_qubits)
-        for i in range(1, self.n_qubits + 1):
-            for j in range(i + 1, self.n_qubits + 1):
-                for mu in (1, 2, 3):
-                    for nu in (1, 2, 3):
-                        value = self.coupling(i, j, mu, nu)
-                        if value:
-                            out += 0.25 * value * dense_pauli(
-                                PauliString(((i, mu), (j, nu))), self.n_qubits
-                            )
+        for string, c in self.terms:
+            out += c * dense_pauli(string, self.n_qubits)
         return out
 
 
@@ -194,140 +180,27 @@ def _check_string(ham: SpinHamiltonian, s: PauliString) -> None:
 def derive_equation(ham: SpinHamiltonian, s: PauliString) -> BbgkyEquation:
     """Expand ``d/dt <s> = i <[H, s]>`` into Pauli-string expectations.
 
-    The identity string has an empty equation. Contributions landing on the
-    same string are merged and dropped below :data:`COEFF_TOL`.
+    Each term ``c P`` of H that anticommutes with s contributes
+    ``2 i c P s``; with ``P s = 1j**power * t`` (power odd) that is ``-2c``
+    (power 1) or ``+2c`` (power 3) on ``<t>``. Distinct terms reach distinct
+    strings, so no contributions merge; coefficients below
+    :data:`COEFF_TOL` are dropped.
     """
     _check_string(ham, s)
-    if s.is_identity:
-        return BbgkyEquation(s, ())
-
-    acc: dict[PauliString, float] = {}
-
-    def add(string: PauliString, coeff: float) -> None:
-        acc[string] = acc.get(string, 0.0) + coeff
-
-    in_string = set(s.sites)
-
-    for i, mu_i in s.factors:
-        # one-site field terms keep the weight: sigma_i^mu_i -> sigma_i^nu
-        for lam in (1, 2, 3):
-            if lam == mu_i:
-                continue
-            h_val = ham.field(i, lam)
-            if h_val == 0.0:
-                continue
-            nu = levi_partner(mu_i, lam)
-            add(s.with_axis(i, nu), h_val * levi_sign(mu_i, lam, nu))
-
-        # two-site terms with both sites inside the string drop site i and
-        # rotate the partner site j: weight n -> n - 1
-        for j, mu_j in s.factors:
-            if j == i:
-                continue
-            for nu in (1, 2, 3):
-                if nu == mu_j:
-                    continue
-                v = ham.coupling(i, j, mu_i, nu)
-                if v == 0.0:
-                    continue
-                lam = levi_partner(mu_j, nu)
-                add(
-                    s.without_site(i).with_axis(j, lam),
-                    0.5 * v * levi_sign(mu_j, nu, lam),
-                )
-
-        # two-site terms reaching outside the string rotate site i and attach
-        # the outside site j: weight n -> n + 1
-        for j in range(1, ham.n_qubits + 1):
-            if j in in_string:
-                continue
-            for mu in (1, 2, 3):
-                if mu == mu_i:
-                    continue
-                lam = levi_partner(mu_i, mu)
-                sign = levi_sign(mu_i, mu, lam)
-                for nu in (1, 2, 3):
-                    v = ham.coupling(i, j, mu, nu)
-                    if v == 0.0:
-                        continue
-                    add(s.with_axis(i, lam).with_axis(j, nu), 0.5 * v * sign)
-
-    terms = tuple((c, t) for t, c in acc.items() if abs(c) >= COEFF_TOL)
-    return BbgkyEquation(s, terms)
+    terms = []
+    for string, c in ham.terms:
+        power, t = multiply(string, s)
+        if power % 2:
+            coeff = 2.0 * c if power == 3 else -2.0 * c
+            if abs(coeff) >= COEFF_TOL:
+                terms.append((coeff, t))
+    return BbgkyEquation(s, tuple(terms))
 
 
 def downstream(ham: SpinHamiltonian, s: PauliString) -> frozenset[PauliString]:
-    """Strings appearing with nonzero coefficient in the equation of ``s``."""
-    return frozenset(eq_string for _, eq_string in derive_equation(ham, s).terms)
-
-
-def upstream_connections(
-    ham: SpinHamiltonian, target: PauliString
-) -> tuple[frozenset[PauliString], int]:
-    """All strings whose equation contains ``target``, plus the ansatz count.
-
-    Candidates are enumerated by three local rules (same weight via a field
-    entry, weight - 1 via a coupling that grows the candidate back, weight + 1
-    via a coupling that shrinks it back). Each candidate differs from the
-    target on a bounded pattern, so the number examined is exactly
-    ``2 n + 2 n (n - 1) + 6 n (N - n)`` for target weight n on N qubits,
-    which is at most ``9 N^2 / 4``.
-
-    Because every hierarchy connection is generated by a single commutator
-    route, checking the one relevant coefficient against :data:`COEFF_TOL`
-    reproduces membership in :func:`downstream` exactly.
-    """
-    _check_string(ham, target)
-    if target.is_identity:
-        return frozenset(), 0
-
-    found: set[PauliString] = set()
-    examined = 0
-    in_target = set(target.sites)
-
-    # same weight: the field entry h_i^{partner(mu_i, nu_i)} must act on site i
-    for i, nu_i in target.factors:
-        for mu_i in (1, 2, 3):
-            if mu_i == nu_i:
-                continue
-            examined += 1
-            if abs(ham.field(i, levi_partner(mu_i, nu_i))) >= COEFF_TOL:
-                found.add(target.with_axis(i, mu_i))
-
-    # weight - 1: the candidate lacks site j; the coupling between the rotated
-    # site i and the re-attached site j must be present
-    for j, nu_j in target.factors:
-        for i, nu_i in target.factors:
-            if i == j:
-                continue
-            for mu_i in (1, 2, 3):
-                if mu_i == nu_i:
-                    continue
-                examined += 1
-                v = ham.coupling(i, j, levi_partner(mu_i, nu_i), nu_j)
-                if 0.5 * abs(v) >= COEFF_TOL:
-                    found.add(target.without_site(j).with_axis(i, mu_i))
-
-    # weight + 1: the candidate carries an extra site i that the coupling
-    # V_ij drops while rotating site j
-    for i in range(1, ham.n_qubits + 1):
-        if i in in_target:
-            continue
-        for j, nu_j in target.factors:
-            for mu_i in (1, 2, 3):
-                for mu_j in (1, 2, 3):
-                    if mu_j == nu_j:
-                        continue
-                    examined += 1
-                    v = ham.coupling(i, j, mu_i, levi_partner(mu_j, nu_j))
-                    if 0.5 * abs(v) >= COEFF_TOL:
-                        found.add(target.with_axis(j, mu_j).with_axis(i, mu_i))
-
-    return frozenset(found), examined
-
-
-def upstream(ham: SpinHamiltonian, target: PauliString) -> frozenset[PauliString]:
-    return upstream_connections(ham, target)[0]
+    """Strings appearing with nonzero coefficient in the equation of ``s``;
+    by antisymmetry also the strings whose equations contain ``s``."""
+    return frozenset(derive_equation(ham, s).strings)
 
 
 @dataclass(frozen=True)
@@ -358,6 +231,9 @@ class HierarchySubset:
                     )
         if not 0 <= self.seed_count <= len(self.correlators):
             raise ValueError("seed_count out of range")
+        if int(self.radius) != self.radius or self.radius < 0:
+            raise ValueError(f"radius must be a non-negative integer, got {self.radius!r}")
+        object.__setattr__(self, "radius", int(self.radius))
 
     @property
     def n_equations(self) -> int:
@@ -386,7 +262,7 @@ class HierarchySubset:
             tuple(BbgkyEquation.from_dict(e) for e in data["equations"]),
             tuple(PauliString.parse(t) for t in data["correlators"]),
             len(data["seeds"]),
-            int(data["r"]),
+            data["r"],
         )
 
 
@@ -395,10 +271,11 @@ def select_subset(
 ) -> HierarchySubset:
     """Grow the seed set ``radius`` times along hierarchy connections.
 
-    Each iteration adds both downstream and upstream neighbours of the
-    current set, then one equation is derived per member. RHS strings that
-    fall outside the set become constraint-free correlators (they get
-    measured and extrapolated, but carry no equation of their own).
+    Each iteration adds the strings in the equations of the newest members.
+    The hierarchy graph is undirected, so these are also all strings whose
+    equations contain a newest member. One equation is derived per member;
+    RHS strings that fall outside the set become constraint-free correlators
+    (they get measured and extrapolated, but carry no equation of their own).
     """
     seeds = tuple(seeds)
     if not seeds:
@@ -423,7 +300,6 @@ def select_subset(
         grown: set[PauliString] = set()
         for s in frontier:
             grown.update(equation(s).strings)
-            grown.update(upstream(ham, s))
         frontier = grown - members
         if not frontier:
             break

@@ -95,16 +95,6 @@ class PauliString:
     def max_site(self) -> int:
         return self.factors[-1][0] if self.factors else 0
 
-    # -- derived strings ------------------------------------------------------
-
-    def with_axis(self, site: int, axis: int) -> "PauliString":
-        """Return a copy with ``site`` carrying ``axis`` (added or replaced)."""
-        pairs = tuple((s, a) for s, a in self.factors if s != site)
-        return PauliString(pairs + ((site, axis),))
-
-    def without_site(self, site: int) -> "PauliString":
-        return PauliString(tuple((s, a) for s, a in self.factors if s != site))
-
     # -- ordering and text ----------------------------------------------------
 
     def sort_key(self) -> tuple:
@@ -118,6 +108,28 @@ class PauliString:
 
     def __str__(self) -> str:
         return self.token()
+
+
+def multiply(a: PauliString, b: PauliString) -> tuple[int, PauliString]:
+    """The product ``a * b = 1j**power * string``, returned as ``(power, string)``.
+
+    Per site, equal axes cancel to the identity and two different axes give
+    the third one (``axis_a ^ axis_b`` in the 1, 2, 3 numbering) with phase
+    ``+1j`` for the cyclic order X -> Y -> Z and ``-1j`` otherwise. So ``power``
+    is odd exactly when ``a`` and ``b`` anticommute.
+    """
+    axes = dict(a.factors)
+    power = 0
+    for site, b_axis in b.factors:
+        a_axis = axes.get(site, 0)
+        if a_axis == 0:
+            axes[site] = b_axis
+        elif a_axis == b_axis:
+            del axes[site]
+        else:
+            axes[site] = a_axis ^ b_axis
+            power += 1 if (b_axis - a_axis) % 3 == 1 else 3
+    return power % 4, PauliString(tuple(axes.items()))
 
 
 def dense_pauli(string: PauliString, n_qubits: int) -> np.ndarray:

@@ -75,8 +75,8 @@ class EvolutionPlan:
     rng_seed: int = 0
 
     def __post_init__(self) -> None:
-        if int(self.n_steps) < 1:
-            raise ValueError(f"n_steps must be >= 1, got {self.n_steps}")
+        if int(self.n_steps) != self.n_steps or self.n_steps < 1:
+            raise ValueError(f"n_steps must be a positive integer, got {self.n_steps}")
         if not 0.0 < float(self.total_time) < math.inf:
             raise ValueError(f"total_time must be positive and finite, got {self.total_time}")
         if self.trotter_order not in (1, 2):
@@ -88,10 +88,10 @@ class EvolutionPlan:
             raise ValueError(f"fold_levels must be finite, got {levels}")
         if any(b <= a for a, b in zip(levels, levels[1:])):
             raise ValueError("fold_levels must be strictly increasing")
-        if self.shots is not None and int(self.shots) < 1:
+        if self.shots is not None and (int(self.shots) != self.shots or self.shots < 1):
             raise ValueError(f"shots must be a positive integer or None, got {self.shots}")
-        if int(self.rng_seed) < 0:
-            raise ValueError("rng_seed must be non-negative")
+        if int(self.rng_seed) != self.rng_seed or self.rng_seed < 0:
+            raise ValueError(f"rng_seed must be a non-negative integer, got {self.rng_seed}")
         object.__setattr__(self, "n_steps", int(self.n_steps))
         object.__setattr__(self, "total_time", float(self.total_time))
         object.__setattr__(self, "fold_levels", levels)
@@ -245,29 +245,15 @@ def fold_schedule(eta: float, n_steps: int) -> list[int]:
 def trotter_factors(ham: SpinHamiltonian, dt: float, order: int = 1) -> tuple[TrotterFactor, ...]:
     """Product-formula factors for one time step of length dt.
 
-    First order applies one factor per nonzero coefficient: fields ascending
-    by (site, axis), then couplings ascending by (i, j, mu, nu). Second order
+    First order applies one factor ``exp(-i * c * dt * P)`` per term of
+    :attr:`SpinHamiltonian.terms`, in that order. Second order
     runs the same sequence at half angles followed by its reversal.
     """
     if not dt > 0.0:
         raise ValueError(f"dt must be positive, got {dt}")
     if order not in (1, 2):
         raise ValueError(f"order must be 1 or 2, got {order}")
-    base = []
-    for i in range(1, ham.n_qubits + 1):
-        for mu in (1, 2, 3):
-            h_val = ham.field(i, mu)
-            if h_val != 0.0:
-                base.append(TrotterFactor(PauliString.single(i, mu), 0.5 * h_val * dt))
-    for i in range(1, ham.n_qubits + 1):
-        for j in range(i + 1, ham.n_qubits + 1):
-            for mu in (1, 2, 3):
-                for nu in (1, 2, 3):
-                    v = ham.coupling(i, j, mu, nu)
-                    if v != 0.0:
-                        base.append(
-                            TrotterFactor(PauliString(((i, mu), (j, nu))), 0.25 * v * dt)
-                        )
+    base = [TrotterFactor(string, c * dt) for string, c in ham.terms]
     if order == 1:
         return tuple(base)
     half = [TrotterFactor(f.string, 0.5 * f.angle) for f in base]

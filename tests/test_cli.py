@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import numpy as np
@@ -53,6 +54,35 @@ def test_hierarchy_subcommand(tmp_path, capsys):
     lines = (out / "equations.txt").read_text().strip().splitlines()
     assert len(lines) == 4
     assert lines[0].startswith("d/dt <Z1> =")
+
+
+# SHA-256 of the hierarchy outputs for BASE_CONFIG, recorded when the
+# equations were still derived from per-case Levi-Civita rules
+HIERARCHY_SHA256 = {
+    1: {
+        "subset.json": "9d6e4858ffe211827a14db8de5274f7effe7b37085f4b1d73f56a392b8cf19e1",
+        "equations.txt": "71e44064536a3dc3716bc6d0f976f031ce37085a7c4f422c30cd0eb023fa158b",
+        "components.json": "b77d213bf5c127354bb7e277c413bcb67be4ae52e399b6edf3f6be0ae92d4cf7",
+    },
+    2: {
+        "subset.json": "61859b42ac32523a23b6fbcec48f9639dec5b1ca864efe08436b28c1d5db31b1",
+        "equations.txt": "6b0691c5c1f0c8c291a7eec50fe4d5f3374ea4c6256abfb1d95625a013de57da",
+        "components.json": "b77d213bf5c127354bb7e277c413bcb67be4ae52e399b6edf3f6be0ae92d4cf7",
+    },
+}
+
+
+@pytest.mark.parametrize("radius", sorted(HIERARCHY_SHA256))
+def test_hierarchy_outputs_are_pinned(tmp_path, radius):
+    config = write_config(tmp_path)
+    out = tmp_path / "out"
+    argv = ["hierarchy", "--config", str(config), "--radius", str(radius), "--out-dir", str(out)]
+    assert main(argv) == 0
+    digests = {
+        name: hashlib.sha256((out / name).read_bytes()).hexdigest()
+        for name in HIERARCHY_SHA256[radius]
+    }
+    assert digests == HIERARCHY_SHA256[radius]
 
 
 def test_simulate_writes_consistent_files(tmp_path):
@@ -371,9 +401,20 @@ def _drop(key):
         ("measurements", _drop("eps")),
         ("measurements", lambda doc: [doc]),
         ("subset", _drop("r")),
+        ("subset", _set("r", 2.7)),
+        ("subset", _set("r", -1)),
         ("subset", lambda doc: [doc]),
     ],
-    ids=["zero-shots", "fractional-shots", "no-eps", "list-measurements", "no-r", "list-subset"],
+    ids=[
+        "zero-shots",
+        "fractional-shots",
+        "no-eps",
+        "list-measurements",
+        "no-r",
+        "fractional-r",
+        "negative-r",
+        "list-subset",
+    ],
 )
 def test_malformed_input_files_exit_2(simulated_run, tmp_path, capsys, target, edit):
     config, run = simulated_run

@@ -6,6 +6,7 @@ from bbgky_zne.pauli import (
     PauliString,
     all_strings,
     dense_pauli,
+    multiply,
     parse_basis_label,
 )
 from oracles import axes_of, dense_string
@@ -40,16 +41,16 @@ def test_parse_rejects_garbage():
     assert PauliString.parse("").is_identity  # bare "" is the identity spelling
 
 
-def test_with_axis_adds_or_replaces():
-    s = PauliString.parse("X1 Z3")
-    assert s.with_axis(3, 2).token() == "X1 Y3"
-    assert s.with_axis(2, 1).token() == "X1 X2 Z3"
-
-
-def test_without_site_drops_factor():
-    s = PauliString.parse("X1 Z3")
-    assert s.without_site(1).token() == "Z3"
-    assert s.without_site(3).token() == "X1"
+def test_multiply_matches_dense_products():
+    strings = list(all_strings(2))
+    for a in strings:
+        for b in strings:
+            power, product = multiply(a, b)
+            expected = 1j**power * dense_pauli(product, 2)
+            np.testing.assert_array_equal(dense_pauli(a, 2) @ dense_pauli(b, 2), expected)
+    a, b = PauliString.parse("X1 Y2"), PauliString.parse("Y1 Z3")
+    assert multiply(a, b) == (1, PauliString.parse("Z1 Y2 Z3"))
+    assert multiply(b, a) == (3, PauliString.parse("Z1 Y2 Z3"))
 
 
 def test_identity_properties():

@@ -174,6 +174,16 @@ def test_plan_validation():
     assert plan.times == (0.0, 0.5, 1.0, 1.5, 2.0)
 
 
+@pytest.mark.parametrize(
+    "field,value",
+    [("n_steps", 2.5), ("shots", 2.7), ("rng_seed", 2.9), ("rng_seed", -1)],
+)
+def test_plan_rejects_non_integral_counts(field, value):
+    kwargs = {"n_steps": 2, "total_time": 1.0, "shots": 2, "rng_seed": 2, field: value}
+    with pytest.raises(ValueError, match=field):
+        EvolutionPlan(**kwargs)
+
+
 def test_noise_model_validation():
     with pytest.raises(ValueError):
         NoiseModel(-0.1, 0.0, 0.0)
