@@ -188,6 +188,8 @@ def cmd_mitigate(
 
 
 def cmd_scan(config: ExperimentConfig, out_dir: Path) -> int:
+    if config.hierarchy_seeds is not None:
+        raise ConfigError("hierarchy.seeds: scan constrains with the Z seeds of Q and P")
     grid = run_scan(
         config.scan.l0_values,
         config.scan.mass_values,

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from .errors import ConfigError
-from .jsonio import load_json
+from .jsonio import load_json, require_type
 from .pauli import PauliString
 from .schwinger import SchwingerParams, default_initial_state
 from .simulator import EvolutionPlan, NoiseModel
@@ -76,14 +76,10 @@ def _reject_unknown(section: dict, allowed: set[str], path: str) -> None:
 
 
 def _expect(value, kinds, path: str):
-    if not isinstance(value, kinds) or isinstance(value, bool):
-        names = (
-            "/".join(k.__name__ for k in kinds)
-            if isinstance(kinds, tuple)
-            else kinds.__name__
-        )
-        raise ConfigError(f"{path}: expected {names}, got {type(value).__name__}")
-    return value
+    try:
+        return require_type(value, kinds, path)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None
 
 
 def _numbers(section: dict, key: str, default: tuple[float, ...], path: str) -> tuple:

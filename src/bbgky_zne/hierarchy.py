@@ -23,13 +23,13 @@ equations contain s are the strings of the equation of s.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
-from typing import Sequence
+from functools import cache, cached_property, partial
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
 from .errors import ResourceLimitError
-from .jsonio import require_keys
+from .jsonio import require_keys, require_type
 from .pauli import PauliString, all_strings, dense_pauli, multiply
 
 #: equation coefficients with magnitude below this are dropped
@@ -163,10 +163,12 @@ class BbgkyEquation:
     @classmethod
     def from_dict(cls, data: dict) -> "BbgkyEquation":
         require_keys(data, ("lhs", "terms"), "equation")
-        return cls(
-            PauliString.parse(data["lhs"]),
-            tuple((float(t["coeff"]), PauliString.parse(t["string"])) for t in data["terms"]),
-        )
+        terms = []
+        for term in require_type(data["terms"], list, "equation terms"):
+            require_keys(term, ("coeff", "string"), "equation term")
+            coeff = require_type(term["coeff"], (int, float), "equation term coeff")
+            terms.append((coeff, PauliString.parse(term["string"])))
+        return cls(PauliString.parse(data["lhs"]), tuple(terms))
 
 
 def _check_string(ham: SpinHamiltonian, s: PauliString) -> None:
@@ -258,12 +260,28 @@ class HierarchySubset:
     @classmethod
     def from_dict(cls, data: dict) -> "HierarchySubset":
         require_keys(data, ("seeds", "r", "equations", "correlators"), "hierarchy subset")
+        equations = require_type(data["equations"], list, "equations")
+        tokens = require_type(data["correlators"], list, "correlators")
         return cls(
-            tuple(BbgkyEquation.from_dict(e) for e in data["equations"]),
-            tuple(PauliString.parse(t) for t in data["correlators"]),
-            len(data["seeds"]),
-            data["r"],
+            tuple(BbgkyEquation.from_dict(e) for e in equations),
+            tuple(PauliString.parse(t) for t in tokens),
+            len(require_type(data["seeds"], list, "seeds")),
+            require_type(data["r"], int, "radius"),
         )
+
+
+def _grow(
+    neighbours: Callable[[PauliString], Iterable[PauliString]], seeds, radius: int | None
+) -> set[PauliString]:
+    """The seeds and every string within ``radius`` hops of them along
+    ``neighbours``, or every string they reach when ``radius`` is None."""
+    members, frontier = set(seeds), set(seeds)
+    hops = 0
+    while frontier and hops != radius:
+        frontier = {t for s in frontier for t in neighbours(s)} - members
+        members |= frontier
+        hops += 1
+    return members
 
 
 def select_subset(
@@ -287,24 +305,8 @@ def select_subset(
     for s in seeds:
         _check_string(ham, s)
 
-    cache: dict[PauliString, BbgkyEquation] = {}
-
-    def equation(s: PauliString) -> BbgkyEquation:
-        if s not in cache:
-            cache[s] = derive_equation(ham, s)
-        return cache[s]
-
-    members = set(seeds)
-    frontier = set(seeds)
-    for _ in range(radius):
-        grown: set[PauliString] = set()
-        for s in frontier:
-            grown.update(equation(s).strings)
-        frontier = grown - members
-        if not frontier:
-            break
-        members.update(frontier)
-
+    equation = cache(partial(derive_equation, ham))
+    members = _grow(lambda s: equation(s).strings, seeds, radius)
     rhs = {string for s in members for string in equation(s).strings}
     remainder = sorted((members | rhs) - set(seeds), key=lambda s: s.sort_key())
     correlators = seeds + tuple(remainder)
@@ -318,30 +320,16 @@ DECOMPOSE_MAX_QUBITS = 6
 
 def decompose(ham: SpinHamiltonian) -> list[int]:
     """Sizes of the connected components of the full hierarchy graph, in
-    ascending order, from all ``4**n_qubits`` strings."""
+    ascending order, from all ``4**n_qubits`` strings: each component is an
+    unvisited string grown along its equations until nothing new is added."""
     if ham.n_qubits > DECOMPOSE_MAX_QUBITS:
         raise ResourceLimitError(
             f"decompose enumerates 4**{ham.n_qubits} strings; cap is {DECOMPOSE_MAX_QUBITS} qubits"
         )
-    # union-find over the strings; each value is a stored key object, so
-    # roots are compared by identity
-    parent: dict[PauliString, PauliString] = {}
-
-    def find(s: PauliString) -> PauliString:
-        s = parent.setdefault(s, s)
-        while parent[s] is not s:
-            parent[s] = parent[parent[s]]
-            s = parent[s]
-        return s
-
-    for s in all_strings(ham.n_qubits):
-        root = find(s)
-        for t in downstream(ham, s):
-            other = find(t)
-            if other is not root:
-                parent[other] = root
-    sizes: dict[PauliString, int] = {}
-    for s in parent:
-        root = find(s)
-        sizes[root] = sizes.get(root, 0) + 1
-    return sorted(sizes.values())
+    unseen = set(all_strings(ham.n_qubits))
+    sizes = []
+    while unseen:
+        component = _grow(lambda s: downstream(ham, s), (unseen.pop(),), None)
+        sizes.append(len(component))
+        unseen -= component
+    return sorted(sizes)

@@ -52,6 +52,22 @@ def require_keys(data, keys: tuple[str, ...], what: str) -> None:
         raise ValueError(f"{what} lacks {', '.join(map(repr, missing))}")
 
 
+def require_type(value, kinds, what: str):
+    """``value`` if it is a non-bool instance of ``kinds``; else ValueError."""
+    if not isinstance(value, kinds) or isinstance(value, bool):
+        names = "/".join(k.__name__ for k in (kinds if isinstance(kinds, tuple) else (kinds,)))
+        raise ValueError(f"{what}: expected {names}, got {type(value).__name__}")
+    return value
+
+
+def float_array(value, what: str) -> np.ndarray:
+    """``value`` as a float array; ValueError if an entry is no number."""
+    try:
+        return np.asarray(value, dtype=float)
+    except TypeError as exc:
+        raise ValueError(f"{what}: {exc}") from exc
+
+
 def _format_cell(value) -> str:
     if isinstance(value, bool):
         return str(value)

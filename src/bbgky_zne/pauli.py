@@ -68,6 +68,8 @@ class PauliString:
     @classmethod
     def parse(cls, text: str) -> "PauliString":
         """Parse a token such as ``"X1 Z3"``; ``"I"`` or ``""`` is the identity."""
+        if not isinstance(text, str):
+            raise ValueError(f"a Pauli token must be a string, got {type(text).__name__}")
         body = text.strip()
         if body in ("", "I"):
             return cls()

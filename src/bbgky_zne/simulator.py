@@ -27,15 +27,15 @@ from __future__ import annotations
 import math
 import numbers
 from dataclasses import dataclass
-from functools import lru_cache, reduce
+from functools import reduce
 from typing import Sequence
 
 import numpy as np
 
 from .errors import ResourceLimitError
 from .hierarchy import SpinHamiltonian
-from .jsonio import require_keys
-from .pauli import ObservableCombination, PauliString, all_strings, dense_pauli, parse_basis_label
+from .jsonio import float_array, require_keys, require_type
+from .pauli import ObservableCombination, PauliString, all_strings, multiply, parse_basis_label
 
 #: qubit cap of the noisy simulation, whose state holds 4^n reals
 NOISY_MAX_QUBITS = 8
@@ -185,11 +185,12 @@ class MeasurementSet:
     def from_dict(cls, data: dict) -> "MeasurementSet":
         keys = ("correlators", "shots", "eps", "values", "initial")
         require_keys(data, keys, "measurement set")
+        tokens = require_type(data["correlators"], list, "correlators")
         return cls(
-            tuple(PauliString.parse(t) for t in data["correlators"]),
-            np.asarray(data["values"], dtype=float),
-            np.asarray(data["eps"], dtype=float),
-            np.asarray(data["initial"], dtype=float),
+            tuple(PauliString.parse(t) for t in tokens),
+            float_array(data["values"], "values"),
+            float_array(data["eps"], "eps"),
+            float_array(data["initial"], "initial"),
             data["shots"],
         )
 
@@ -220,7 +221,7 @@ def shifted_error_level(s: int, eta: float, shots: int, rng: np.random.Generator
     The shift has standard deviation ``1/sqrt(shots)`` and is clipped at five
     standard deviations so the result stays above ``1 - 5/sqrt(shots)``.
     """
-    if int(shots) < 1:
+    if int(shots) != shots or shots < 1:
         raise ValueError(f"shots must be a positive integer, got {shots}")
     width = 1.0 / math.sqrt(shots)
     shift = float(rng.normal(0.0, width))
@@ -260,32 +261,24 @@ def trotter_factors(ham: SpinHamiltonian, dt: float, order: int = 1) -> tuple[Tr
     return tuple(half + half[::-1])
 
 
-def factor_unitary(factor: TrotterFactor, n_qubits: int) -> np.ndarray:
-    """Dense ``exp(-i * angle * P)`` using ``P**2 = 1``."""
-    pauli = dense_pauli(factor.string, n_qubits)
-    dim = pauli.shape[0]
-    return math.cos(factor.angle) * np.eye(dim) - 1j * math.sin(factor.angle) * pauli
-
-
-@lru_cache(maxsize=None)
-def _pauli_basis(k: int) -> np.ndarray:
-    """Dense matrices of all 4^k strings on k qubits, in ``all_strings`` order."""
-    basis = np.array([dense_pauli(s, k) for s in all_strings(k)])
-    basis.flags.writeable = False
-    return basis
-
-
 def transfer_matrix(factor: TrotterFactor) -> np.ndarray:
-    """Pauli-transfer matrix ``R[a, b] = Tr(sigma_b U^dagger sigma_a U) / 2^k``
-    of one factor on its own k sites (multi-indices in ascending site order),
-    shaped ``(4,) * 2k`` so that ``r'_a = sum_b R[a, b] r_b``."""
+    """Pauli-transfer matrix of ``exp(-i * angle * P)`` on its own k sites
+    (multi-indices in ascending site order), shaped ``(4,) * 2k`` so that
+    ``r'_a = sum_b R[a, b] r_b``. A string a that commutes with P keeps its
+    value; one with ``P a = 1j**power * b``, power odd, moves to
+    ``cos(2 angle) <a> -+ sin(2 angle) <b>`` for power 1 / 3, the signs of
+    :func:`~bbgky_zne.hierarchy.derive_equation`."""
     k = len(factor.string)
     local = PauliString(tuple(enumerate((axis for _, axis in factor.string.factors), 1)))
-    unitary = factor_unitary(TrotterFactor(local, factor.angle), k)
-    paulis = _pauli_basis(k)
-    heisenberg = unitary.conj().T @ paulis @ unitary
-    transfer = np.einsum("bij,aji->ab", paulis, heisenberg).real / 2**k
-    return transfer.reshape((4,) * (2 * k))
+    cos, sin = math.cos(2.0 * factor.angle), math.sin(2.0 * factor.angle)
+    transfer = np.eye(4**k).reshape((4,) * (2 * k))
+    index = dict(zip(all_strings(k), np.ndindex((4,) * k)))
+    for a, row in index.items():
+        power, b = multiply(local, a)
+        if power % 2:
+            transfer[row + row] = cos
+            transfer[row + index[b]] = sin if power == 3 else -sin
+    return transfer
 
 
 def apply_transfer(r: np.ndarray, transfer: np.ndarray, sites: Sequence[int]) -> np.ndarray:
@@ -311,7 +304,7 @@ def sample_estimate(expectation: float, shots: int, rng: np.random.Generator) ->
     """Binomial shot-noise model for a +-1-valued measurement."""
     if abs(expectation) > 1.0:
         raise ValueError(f"expectation must lie in [-1, 1], got {expectation}")
-    if int(shots) < 1:
+    if int(shots) != shots or shots < 1:
         raise ValueError(f"shots must be a positive integer, got {shots}")
     ups = rng.binomial(int(shots), 0.5 * (1.0 + expectation))
     return 2.0 * ups / shots - 1.0

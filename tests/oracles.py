@@ -3,8 +3,8 @@
 Everything here is deliberately written from first principles with a
 different mechanism than the library code: dense matrix algebra instead of
 symbolic rules, explicit bit loops instead of einsum, RK4 integration
-instead of eigendecomposition, and a hand-rolled union-find instead of a
-graph library.
+instead of eigendecomposition, and a hand-rolled union-find instead of
+growing components along equations.
 """
 
 from __future__ import annotations
@@ -146,6 +146,30 @@ def component_sizes(n_qubits: int, h: np.ndarray, V: np.ndarray) -> list[int]:
         root = find(k)
         sizes[root] = sizes.get(root, 0) + 1
     return sorted(sizes.values())
+
+
+def exp_pauli(axes: tuple[int, ...], angle: float) -> np.ndarray:
+    """Dense ``exp(-i * angle * P)`` of the string with these axes, using ``P**2 = 1``."""
+    return math.cos(angle) * np.eye(2 ** len(axes)) - 1j * math.sin(angle) * dense_string(axes)
+
+
+def factor_unitary(factor, n_qubits: int) -> np.ndarray:
+    """Dense unitary of a Trotter factor on n_qubits."""
+    return exp_pauli(axes_of(factor.string.factors, n_qubits), factor.angle)
+
+
+def heisenberg_transfer(factor) -> np.ndarray:
+    """Pauli-transfer matrix ``R[a, b] = Tr(sigma_b U^dagger sigma_a U) / 2^k``
+    of a factor on its own k sites, from dense matrices, shaped ``(4,) * 2k``."""
+    local = tuple(axis for _, axis in factor.string.factors)
+    k = len(local)
+    unitary = exp_pauli(local, factor.angle)
+    out = np.empty((4,) * (2 * k))
+    for a in all_axes(k, include_identity=True):
+        moved = unitary.conj().T @ dense_string(a) @ unitary
+        for b in all_axes(k, include_identity=True):
+            out[a + b] = np.trace(dense_string(b) @ moved).real / 2**k
+    return out
 
 
 def bits_index(bits) -> int:

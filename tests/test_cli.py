@@ -393,6 +393,16 @@ def _drop(key):
     return edit
 
 
+def _set_path(*path, value):
+    def edit(doc):
+        parent = doc
+        for key in path[:-1]:
+            parent = parent[key]
+        parent[path[-1]] = value
+        return doc
+    return edit
+
+
 @pytest.mark.parametrize(
     "target,edit",
     [
@@ -404,6 +414,14 @@ def _drop(key):
         ("subset", _set("r", 2.7)),
         ("subset", _set("r", -1)),
         ("subset", lambda doc: [doc]),
+        ("subset", _set("r", None)),
+        ("subset", _set("seeds", 3)),
+        ("subset", _set_path("equations", 0, "terms", value=5)),
+        ("subset", _set_path("equations", 0, "terms", 0, "coeff", value=None)),
+        ("subset", _set_path("equations", 0, "terms", 0, value={"string": "Z1"})),
+        ("measurements", _set("correlators", 5)),
+        ("measurements", _set_path("correlators", 0, value=7)),
+        ("measurements", _set("values", {"a": 1})),
     ],
     ids=[
         "zero-shots",
@@ -414,6 +432,14 @@ def _drop(key):
         "fractional-r",
         "negative-r",
         "list-subset",
+        "null-r",
+        "int-seeds",
+        "int-terms",
+        "null-coeff",
+        "term-without-coeff",
+        "int-correlators",
+        "int-correlator-token",
+        "dict-values",
     ],
 )
 def test_malformed_input_files_exit_2(simulated_run, tmp_path, capsys, target, edit):
@@ -441,6 +467,13 @@ def test_custom_hierarchy_seeds_flow_through(tmp_path):
     subset = json.loads((out / "subset.json").read_text())
     assert subset["seeds"] == ["Z1"]
     assert len(subset["equations"]) == 1
+
+
+def test_scan_rejects_hierarchy_seeds(tmp_path, capsys):
+    config = write_config(tmp_path, {"hierarchy": {"seeds": ["X1 X2"]}})
+    assert main(["scan", "--config", str(config), "--out-dir", str(tmp_path / "out")]) == 2
+    assert "hierarchy.seeds" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 def test_seed_override_changes_output(tmp_path):

@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import pytest
 
@@ -30,6 +31,14 @@ def test_defaults_without_file():
     assert config.scan.l0_values == (0.0, 0.5, 1.0, 1.5)
     assert config.hierarchy_seeds is None
     assert config.out_dir == "out"
+
+
+def test_readme_default_config_block_loads_as_the_defaults(tmp_path):
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    block = readme.split("Defaults shown:\n\n```json\n", 1)[1].split("```", 1)[0]
+    path = tmp_path / "config.json"
+    path.write_text(block)
+    assert load_config(path) == load_config(None, seed=7)
 
 
 def test_seed_is_required(tmp_path):

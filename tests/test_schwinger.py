@@ -22,9 +22,9 @@ from bbgky_zne.simulator import (
     EvolutionPlan,
     NoiseModel,
     evolve_exact,
-    factor_unitary,
     trotter_factors,
 )
+from oracles import factor_unitary
 
 FAST_PLAN = EvolutionPlan(6, 1.2, 1, (0.0, 1.0, 2.0), 2048, 3)
 MILD_NOISE = NoiseModel(0.001, 0.01, 0.02)

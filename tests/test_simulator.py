@@ -16,10 +16,10 @@ from bbgky_zne.simulator import (
     error_level,
     evolve_exact,
     evolve_noisy,
-    factor_unitary,
     fold_schedule,
     sample_estimate,
     shifted_error_level,
+    transfer_matrix,
     trotter_factors,
 )
 from conftest import random_hamiltonian, random_measurements
@@ -27,6 +27,8 @@ from oracles import (
     axes_of,
     dense_hamiltonian,
     depolarize_reference,
+    factor_unitary,
+    heisenberg_transfer,
     noisy_campaign_reference,
     pauli_vector,
     rk4_expectations,
@@ -101,6 +103,17 @@ def test_factor_unitary_matches_exponential(rng):
     w, v = np.linalg.eigh(pauli)
     expected = v @ np.diag(np.exp(-1j * factor.angle * w)) @ v.conj().T
     np.testing.assert_allclose(factor_unitary(factor, 2), expected, atol=1e-13)
+
+
+@pytest.mark.parametrize("n_qubits", [2, 3, 4])
+@pytest.mark.parametrize("order", [1, 2])
+def test_transfer_matrix_matches_dense_heisenberg(rng, n_qubits, order):
+    factors = trotter_factors(random_hamiltonian(rng, n_qubits), 0.37, order)
+    assert {len(f.string) for f in factors} == {1, 2}
+    for factor in factors:
+        np.testing.assert_allclose(
+            transfer_matrix(factor), heisenberg_transfer(factor), rtol=0, atol=1e-14
+        )
 
 
 @pytest.mark.parametrize("order,ratio", [(1, 4.0), (2, 8.0)])
@@ -182,6 +195,15 @@ def test_plan_rejects_non_integral_counts(field, value):
     kwargs = {"n_steps": 2, "total_time": 1.0, "shots": 2, "rng_seed": 2, field: value}
     with pytest.raises(ValueError, match=field):
         EvolutionPlan(**kwargs)
+
+
+@pytest.mark.parametrize("shots", [0, 2.7])
+def test_sampling_helpers_reject_non_integral_shots(shots):
+    rng = np.random.default_rng(0)
+    with pytest.raises(ValueError, match="shots"):
+        sample_estimate(0.0, shots, rng)
+    with pytest.raises(ValueError, match="shots"):
+        shifted_error_level(2, 1.0, shots, rng)
 
 
 def test_noise_model_validation():

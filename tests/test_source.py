@@ -1,7 +1,11 @@
 """Static checks of the package source."""
 
 import ast
+import re
+import sys
 from pathlib import Path
+
+import pytest
 
 import bbgky_zne
 
@@ -38,3 +42,50 @@ def test_no_unused_module_level_imports():
         if path.name != "__init__.py"
     }
     assert {name: unused for name, unused in found.items() if unused} == {}
+
+
+def foreign_imports(source: str, allowed: set[str]) -> list[str]:
+    """Absolute imports anywhere in ``source`` whose top-level module is not
+    in ``allowed``; relative imports are the package's own."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            names = [node.module]
+        else:
+            continue
+        found += [
+            f"{name} (line {node.lineno})" for name in names if name.split(".")[0] not in allowed
+        ]
+    return found
+
+
+def declared_dependencies() -> set[str]:
+    """Import names of the runtime dependencies in pyproject.toml."""
+    tomllib = pytest.importorskip("tomllib")
+    project = tomllib.loads((Path(__file__).parents[1] / "pyproject.toml").read_text())["project"]
+    return {
+        re.split(r"[\s<>=!~;\[]", dep, maxsplit=1)[0].lower().replace("-", "_")
+        for dep in project["dependencies"]
+    }
+
+
+def test_foreign_import_detector():
+    source = (
+        "import os\nimport scipy.linalg\nfrom numpy import linalg\nfrom . import pauli\n"
+        "from networkx.algorithms import x\ndef f():\n    import hypothesis\n"
+    )
+    allowed = set(sys.stdlib_module_names) | {"numpy"}
+    assert foreign_imports(source, allowed) == [
+        "scipy.linalg (line 2)", "networkx.algorithms (line 5)", "hypothesis (line 7)"
+    ]
+
+
+def test_package_imports_only_stdlib_itself_and_declared_dependencies():
+    allowed = set(sys.stdlib_module_names) | {"bbgky_zne"} | declared_dependencies()
+    found = {
+        path.name: foreign_imports(path.read_text(), allowed)
+        for path in sorted(PACKAGE.glob("*.py"))
+    }
+    assert {name: foreign for name, foreign in found.items() if foreign} == {}
