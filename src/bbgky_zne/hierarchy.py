@@ -24,13 +24,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cache, cached_property, partial
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Hashable, Iterable, Sequence, TypeVar
 
 import numpy as np
 
 from .errors import ResourceLimitError
 from .jsonio import require_keys, require_type
-from .pauli import PauliString, all_strings, dense_pauli, multiply
+from .pauli import PauliString, anticommute, code, dense_pauli, multiply
 
 #: equation coefficients with magnitude below this are dropped
 COEFF_TOL = 1e-12
@@ -262,19 +262,26 @@ class HierarchySubset:
         require_keys(data, ("seeds", "r", "equations", "correlators"), "hierarchy subset")
         equations = require_type(data["equations"], list, "equations")
         tokens = require_type(data["correlators"], list, "correlators")
+        correlators = tuple(PauliString.parse(t) for t in tokens)
+        seeds = tuple(PauliString.parse(t) for t in require_type(data["seeds"], list, "seeds"))
+        if seeds != correlators[: len(seeds)]:
+            raise ValueError("seeds must be the first correlators, in the same order")
         return cls(
             tuple(BbgkyEquation.from_dict(e) for e in equations),
-            tuple(PauliString.parse(t) for t in tokens),
-            len(require_type(data["seeds"], list, "seeds")),
+            correlators,
+            len(seeds),
             require_type(data["r"], int, "radius"),
         )
 
 
+Node = TypeVar("Node", bound=Hashable)
+
+
 def _grow(
-    neighbours: Callable[[PauliString], Iterable[PauliString]], seeds, radius: int | None
-) -> set[PauliString]:
-    """The seeds and every string within ``radius`` hops of them along
-    ``neighbours``, or every string they reach when ``radius`` is None."""
+    neighbours: Callable[[Node], Iterable[Node]], seeds: Iterable[Node], radius: int | None
+) -> set[Node]:
+    """The seeds and every node within ``radius`` hops of them along
+    ``neighbours``, or every node they reach when ``radius`` is None."""
     members, frontier = set(seeds), set(seeds)
     hops = 0
     while frontier and hops != radius:
@@ -314,22 +321,33 @@ def select_subset(
     return HierarchySubset(equations, correlators, len(seeds), radius)
 
 
-#: :func:`decompose` enumerates all 4**n strings, so it stops at this size
-DECOMPOSE_MAX_QUBITS = 6
+#: :func:`decompose` walks all 4**n string codes, so it stops at this size
+DECOMPOSE_MAX_QUBITS = 8
 
 
 def decompose(ham: SpinHamiltonian) -> list[int]:
     """Sizes of the connected components of the full hierarchy graph, in
-    ascending order, from all ``4**n_qubits`` strings: each component is an
-    unvisited string grown along its equations until nothing new is added."""
-    if ham.n_qubits > DECOMPOSE_MAX_QUBITS:
+    ascending order, over all ``4**n_qubits`` strings.
+
+    The graph is walked on integer codes (:func:`~bbgky_zne.pauli.code`): a
+    term c P links a to ``a ^ code(P)`` when the two anticommute and
+    ``|2c|`` reaches :data:`COEFF_TOL`, exactly the edges of
+    :func:`derive_equation`. Each component is an unvisited code grown until
+    nothing new is added."""
+    n = ham.n_qubits
+    if n > DECOMPOSE_MAX_QUBITS:
         raise ResourceLimitError(
-            f"decompose enumerates 4**{ham.n_qubits} strings; cap is {DECOMPOSE_MAX_QUBITS} qubits"
+            f"decompose enumerates 4**{n} strings; cap is {DECOMPOSE_MAX_QUBITS} qubits"
         )
-    unseen = set(all_strings(ham.n_qubits))
+    masks = [code(string, n) for string, c in ham.terms if abs(2.0 * c) >= COEFF_TOL]
+
+    def neighbours(a: int) -> list[int]:
+        return [a ^ m for m in masks if anticommute(a, m)]
+
+    unseen = set(range(4**n))
     sizes = []
     while unseen:
-        component = _grow(lambda s: downstream(ham, s), (unseen.pop(),), None)
+        component = _grow(neighbours, (unseen.pop(),), None)
         sizes.append(len(component))
         unseen -= component
     return sorted(sizes)

@@ -11,6 +11,7 @@ from __future__ import annotations
 import json
 import os
 import tempfile
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -61,7 +62,16 @@ def require_type(value, kinds, what: str):
 
 
 def float_array(value, what: str) -> np.ndarray:
-    """``value`` as a float array; ValueError if an entry is no number."""
+    """``value`` as a float array; ValueError if an entry is no number,
+    including the JSON strings and booleans that numpy would convert."""
+    # one nesting level at a time, so that the type scan runs in C
+    level = [value]
+    while level:
+        kinds = set(map(type, level))
+        for kind in (str, bool):
+            if kind in kinds:
+                raise ValueError(f"{what}: expected numbers, got {kind.__name__}")
+        level = list(chain.from_iterable(x for x in level if type(x) is list)) if list in kinds else []
     try:
         return np.asarray(value, dtype=float)
     except TypeError as exc:

@@ -11,6 +11,11 @@ Conventions used everywhere:
 * The text token for a string lists one ``<letter><site>`` item per
   factor in ascending site order, e.g. ``"X1 Z3"``; the identity is
   written ``"I"``.
+* The integer code of a string on n sites holds two bits per site, site 1
+  most significant, with the axis numbers as digits (I=0, X=1, Y=2, Z=3).
+  It is the string's index in :func:`all_strings` order and its flat index
+  in a ``(4,) * n`` array. The product of two strings has the XOR of their
+  codes, up to phase, because per site two different axes give the third.
 """
 
 from __future__ import annotations
@@ -156,6 +161,32 @@ def all_strings(n_qubits: int, include_identity: bool = True) -> Iterator[PauliS
         if not pairs and not include_identity:
             continue
         yield PauliString(pairs)
+
+
+#: :func:`anticommute` masks one bit per site, enough for this many sites
+CODE_MAX_QUBITS = 32
+_LOW_BITS = int("01" * CODE_MAX_QUBITS, 2)
+
+
+def code(string: PauliString, n_qubits: int) -> int:
+    """The string's index in ``all_strings(n_qubits)`` order: base 4, site 1
+    most significant, the axis as the digit."""
+    if not 0 <= n_qubits <= CODE_MAX_QUBITS or string.max_site() > n_qubits:
+        raise ValueError(
+            f"string {string.token()!r} has no code on {n_qubits} qubits "
+            f"(cap {CODE_MAX_QUBITS})"
+        )
+    return sum(axis << 2 * (n_qubits - site) for site, axis in string.factors)
+
+
+def anticommute(a: int, b: int) -> bool:
+    """Whether the strings with codes ``a`` and ``b`` anticommute.
+
+    With the digit bits (hi, lo) = X (0, 1), Y (1, 0), Z (1, 1), two axes on
+    one site anticommute exactly when ``hi_a lo_b ^ hi_b lo_a`` is 1, and two
+    strings anticommute when an odd number of sites do (the symplectic
+    product of Aaronson and Gottesman)."""
+    return bool((((a >> 1) & b ^ (b >> 1) & a) & _LOW_BITS).bit_count() & 1)
 
 
 def parse_basis_label(label: str, n_qubits: int) -> tuple[int, ...]:

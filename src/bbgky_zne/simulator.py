@@ -3,9 +3,12 @@
 The register state is held in Pauli-transfer form: a real tensor ``r`` of
 shape ``(4,) * n`` whose entry ``r[a_1, ..., a_n]`` is the expectation of
 the string with axis ``a_i`` on site i (axis 0 is the identity), in the
-digit order of :func:`~bbgky_zne.pauli.all_strings`. Every Trotter factor
-acts on it through its 4^k x 4^k transfer matrix on its own k <= 2 sites,
-and a uniform depolarizing channel, applied after every factor, is diagonal:
+digit order of :func:`~bbgky_zne.pauli.all_strings`, so that the flat index
+of a string is its :func:`~bbgky_zne.pauli.code`. Every Trotter factor
+``exp(-i angle P)`` acts on it through its 4^k x 4^k transfer matrix on its
+own k <= 2 sites, which mixes each string a only with its partner P a, at
+flat index ``a ^ code(P)`` (:func:`factor_rotation`), and a uniform
+depolarizing channel, applied after every factor, is diagonal:
 it damps each string that touches its sites. An optional readout bit-flip is
 folded into each measured expectation. Noise amplification
 follows the unitary-folding picture at fractional levels eta: after step s
@@ -35,7 +38,14 @@ import numpy as np
 from .errors import ResourceLimitError
 from .hierarchy import SpinHamiltonian
 from .jsonio import float_array, require_keys, require_type
-from .pauli import ObservableCombination, PauliString, all_strings, multiply, parse_basis_label
+from .pauli import (
+    ObservableCombination,
+    PauliString,
+    all_strings,
+    code,
+    multiply,
+    parse_basis_label,
+)
 
 #: qubit cap of the noisy simulation, whose state holds 4^n reals
 NOISY_MAX_QUBITS = 8
@@ -261,6 +271,11 @@ def trotter_factors(ham: SpinHamiltonian, dt: float, order: int = 1) -> tuple[Tr
     return tuple(half + half[::-1])
 
 
+def _local_string(factor: TrotterFactor) -> PauliString:
+    """The factor's string moved onto sites 1..k, keeping the site order."""
+    return PauliString(tuple(enumerate((axis for _, axis in factor.string.factors), 1)))
+
+
 def transfer_matrix(factor: TrotterFactor) -> np.ndarray:
     """Pauli-transfer matrix of ``exp(-i * angle * P)`` on its own k sites
     (multi-indices in ascending site order), shaped ``(4,) * 2k`` so that
@@ -269,7 +284,7 @@ def transfer_matrix(factor: TrotterFactor) -> np.ndarray:
     ``cos(2 angle) <a> -+ sin(2 angle) <b>`` for power 1 / 3, the signs of
     :func:`~bbgky_zne.hierarchy.derive_equation`."""
     k = len(factor.string)
-    local = PauliString(tuple(enumerate((axis for _, axis in factor.string.factors), 1)))
+    local = _local_string(factor)
     cos, sin = math.cos(2.0 * factor.angle), math.sin(2.0 * factor.angle)
     transfer = np.eye(4**k).reshape((4,) * (2 * k))
     index = dict(zip(all_strings(k), np.ndindex((4,) * k)))
@@ -281,11 +296,29 @@ def transfer_matrix(factor: TrotterFactor) -> np.ndarray:
     return transfer
 
 
-def apply_transfer(r: np.ndarray, transfer: np.ndarray, sites: Sequence[int]) -> np.ndarray:
-    """Apply a transfer matrix of shape ``(4,) * 2k`` on the (1-based) sites."""
-    k = len(sites)
-    axes = [s - 1 for s in sites]
-    return np.moveaxis(np.tensordot(transfer, r, (list(range(k, 2 * k)), axes)), range(k), axes)
+def factor_rotation(factor: TrotterFactor, n_qubits: int) -> tuple[np.ndarray, np.ndarray, tuple]:
+    """``(cos, sin, flip)`` such that the factor maps the ``(2,) * 2n`` bit
+    view r of the state (two bits per site, site 1 first) to
+    ``cos * r + sin * r[flip]``.
+
+    ``cos`` and ``sin`` are the diagonal entries ``R[a, a]`` and the partner
+    entries ``R[a, P a]`` of :func:`transfer_matrix`, shaped to broadcast
+    from the factor's own bit axes. The partner code is ``a ^ code(P)``, so
+    ``flip`` reverses the bit axes set in ``code(P)``: ``r[flip]`` is a view
+    holding ``<P a>`` at a."""
+    k = len(factor.string)
+    transfer = transfer_matrix(factor).reshape(4**k, 4**k)
+    local = code(_local_string(factor), k)
+    rows = np.arange(4**k)
+    shape = [1] * (2 * n_qubits)
+    for site in factor.string.sites:
+        shape[2 * site - 2 : 2 * site] = (2, 2)
+    p = code(factor.string, n_qubits)
+    flip = tuple(
+        slice(None, None, -1) if p >> (2 * n_qubits - 1 - axis) & 1 else slice(None)
+        for axis in range(2 * n_qubits)
+    )
+    return transfer[rows, rows].reshape(shape), transfer[rows, rows ^ local].reshape(shape), flip
 
 
 def depolarize(r: np.ndarray, sites: Sequence[int], p: float, n_qubits: int) -> np.ndarray:
@@ -300,13 +333,14 @@ def depolarize(r: np.ndarray, sites: Sequence[int], p: float, n_qubits: int) -> 
     return out
 
 
-def sample_estimate(expectation: float, shots: int, rng: np.random.Generator) -> float:
-    """Binomial shot-noise model for a +-1-valued measurement."""
-    if abs(expectation) > 1.0:
+def sample_estimate(expectation, shots: int, rng: np.random.Generator):
+    """Binomial shot-noise model for +-1-valued measurements: one estimate
+    per entry of ``expectation`` (a number or an array), drawn in order."""
+    if np.any(np.abs(expectation) > 1.0):
         raise ValueError(f"expectation must lie in [-1, 1], got {expectation}")
     if int(shots) != shots or shots < 1:
         raise ValueError(f"shots must be a positive integer, got {shots}")
-    ups = rng.binomial(int(shots), 0.5 * (1.0 + expectation))
+    ups = rng.binomial(int(shots), 0.5 * (1.0 + np.asarray(expectation)))
     return 2.0 * ups / shots - 1.0
 
 
@@ -338,26 +372,31 @@ def evolve_noisy(
             raise ValueError(f"correlator {c.token()!r} does not fit on {n} qubits")
     bits = parse_basis_label(initial_state, n)
     start = reduce(np.multiply.outer, [np.array([1.0, 0.0, 0.0, 1.0 - 2.0 * b]) for b in bits])
+    bit_shape = (2,) * (2 * n)
 
     factors = trotter_factors(ham, plan.dt, plan.trotter_order)
-    transfers = [transfer_matrix(f) for f in factors]
+    rotations = [factor_rotation(f, n) for f in factors]
     supports = [f.string.sites for f in factors]
     rates = [noise.depol_1q if len(s) == 1 else noise.depol_2q for s in supports]
-    # r[index] lists the correlators: index[i][q] is correlator q's axis on site i+1
-    axes = [dict(c.factors) for c in correlators]
-    index = tuple(np.array([[a.get(i, 0) for a in axes] for i in range(1, n + 1)]))
+    codes = np.array([code(c, n) for c in correlators])
     damping = np.array([(1.0 - 2.0 * noise.readout_flip) ** len(c) for c in correlators])
 
     n_corr, n_steps, n_levels = len(correlators), plan.n_steps, len(plan.fold_levels)
     values = np.empty((n_corr, n_steps, n_levels))
     eps = np.empty((n_steps, n_levels))
+    partner = np.empty(bit_shape)
 
     for k, eta in enumerate(plan.fold_levels):
         rng = np.random.default_rng([plan.rng_seed, k])
-        r = start
+        r = start.copy()
         for s, pairs in enumerate(fold_schedule(eta, n_steps), start=1):
-            for transfer, support, rate in zip(transfers, supports, rates):
-                r = apply_transfer(r, transfer, support)
+            for (cos, sin, flip), support, rate in zip(rotations, supports, rates):
+                # in place on the bit view of the contiguous r: the partners
+                # are read out before any entry changes
+                bits = r.reshape(bit_shape)
+                np.multiply(sin, bits[flip], out=partner)
+                bits *= cos
+                bits += partner
                 if rate:
                     r = depolarize(r, support, rate, n)
             for _ in range(2 * pairs):
@@ -369,15 +408,14 @@ def evolve_noisy(
                 eps[s - 1, k] = error_level(s, eta)
             else:
                 eps[s - 1, k] = shifted_error_level(s, eta, plan.shots, rng)
-            expectations = np.clip(r[index] * damping, -1.0, 1.0)
+            expectations = np.clip(r.reshape(-1)[codes] * damping, -1.0, 1.0)
             if plan.shots is None:
                 values[:, s - 1, k] = expectations
             else:
-                for q in range(n_corr):
-                    values[q, s - 1, k] = sample_estimate(expectations[q], plan.shots, rng)
+                values[:, s - 1, k] = sample_estimate(expectations, plan.shots, rng)
 
     # + 0.0 turns the -0.0 that a product with a -1 factor leaves into 0.0
-    initial = start[index] + 0.0
+    initial = start.reshape(-1)[codes] + 0.0
     return MeasurementSet(correlators, values, eps, initial, plan.shots)
 
 

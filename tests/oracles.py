@@ -172,6 +172,25 @@ def heisenberg_transfer(factor) -> np.ndarray:
     return out
 
 
+def apply_local_transfer(r: np.ndarray, transfer: np.ndarray, sites) -> np.ndarray:
+    """``r'_a = sum_b R[a_S, b_S] r_b`` over the strings b that agree with a
+    off the (1-based) sites S, for a ``(4,) * n`` tensor r and a local
+    transfer matrix R shaped ``(4,) * 2k``: one slice update per pair of
+    local strings."""
+
+    def on_sites(local):
+        index = [slice(None)] * r.ndim
+        for site, axis in zip(sites, local):
+            index[site - 1] = axis
+        return tuple(index)
+
+    out = np.zeros_like(r)
+    for a in np.ndindex((4,) * len(sites)):
+        for b in np.ndindex((4,) * len(sites)):
+            out[on_sites(a)] += transfer[a + b] * r[on_sites(b)]
+    return out
+
+
 def bits_index(bits) -> int:
     """Row of a basis state in a dense matrix, first bit most significant;
     the empty register has the one row 0."""

@@ -422,6 +422,9 @@ def _set_path(*path, value):
         ("measurements", _set("correlators", 5)),
         ("measurements", _set_path("correlators", 0, value=7)),
         ("measurements", _set("values", {"a": 1})),
+        ("subset", _set("seeds", ["X1", "X2", "X3", "X4"])),
+        ("measurements", _set_path("values", 0, 0, 0, value="0.5")),
+        ("measurements", _set_path("values", 0, 0, 0, value=True)),
     ],
     ids=[
         "zero-shots",
@@ -440,6 +443,9 @@ def _set_path(*path, value):
         "int-correlators",
         "int-correlator-token",
         "dict-values",
+        "mismatched-seeds",
+        "string-value",
+        "bool-value",
     ],
 )
 def test_malformed_input_files_exit_2(simulated_run, tmp_path, capsys, target, edit):

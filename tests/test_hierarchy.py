@@ -3,6 +3,7 @@ import pytest
 
 from bbgky_zne.errors import ResourceLimitError
 from bbgky_zne.hierarchy import (
+    COEFF_TOL,
     BbgkyEquation,
     HierarchySubset,
     SpinHamiltonian,
@@ -12,6 +13,7 @@ from bbgky_zne.hierarchy import (
     select_subset,
 )
 from bbgky_zne.pauli import PauliString, all_strings
+from bbgky_zne.schwinger import SchwingerParams, build_hamiltonian
 from conftest import random_hamiltonian, random_string
 from oracles import (
     axes_of,
@@ -204,7 +206,25 @@ def test_decompose_matches_union_find_oracle(rng):
         assert decompose(ham) == component_sizes(n_qubits, ham.h, ham.V)
 
 
+@pytest.mark.parametrize("n_qubits", [2, 3, 4])
+def test_decompose_of_sparse_hamiltonians_matches_union_find_oracle(rng, n_qubits):
+    fields = {(int(rng.integers(1, n_qubits + 1)), int(rng.integers(1, 4))): rng.normal()}
+    couplings = {}
+    for _ in range(n_qubits - 1):
+        i, j = sorted(int(v) for v in rng.choice(np.arange(1, n_qubits + 1), 2, replace=False))
+        couplings[(i, j, int(rng.integers(1, 4)), int(rng.integers(1, 4)))] = rng.normal()
+    # |2c| below COEFF_TOL: derive_equation drops this edge, so decompose must too
+    fields[(1, 1)] = 0.2 * COEFF_TOL
+    ham = SpinHamiltonian.build(n_qubits, fields, couplings)
+    assert decompose(ham) == component_sizes(n_qubits, ham.h, ham.V)
+
+
+def test_decompose_of_the_eight_site_chain():
+    ham = build_hamiltonian(SchwingerParams(n_qubits=8))
+    assert decompose(ham) == [1, 1, 32766, 32768]
+
+
 def test_decompose_respects_qubit_cap():
-    ham = SpinHamiltonian(7, np.zeros((7, 3)), np.zeros((7, 7, 3, 3)))
+    ham = SpinHamiltonian(9, np.zeros((9, 3)), np.zeros((9, 9, 3, 3)))
     with pytest.raises(ResourceLimitError):
         decompose(ham)

@@ -5,6 +5,8 @@ from bbgky_zne.pauli import (
     ObservableCombination,
     PauliString,
     all_strings,
+    anticommute,
+    code,
     dense_pauli,
     multiply,
     parse_basis_label,
@@ -89,6 +91,29 @@ def test_all_strings_enumerates_the_basis():
     no_identity = list(all_strings(2, include_identity=False))
     assert len(no_identity) == 15
     assert all(not s.is_identity for s in no_identity)
+
+
+@pytest.mark.parametrize("n_qubits", [0, 1, 2, 3])
+def test_code_enumerates_all_strings(n_qubits):
+    codes = [code(s, n_qubits) for s in all_strings(n_qubits)]
+    assert codes == list(range(4**n_qubits))
+
+
+def test_code_rejects_strings_beyond_the_register():
+    assert code(PauliString.parse("Y1 Z3"), 3) == 0b100011
+    with pytest.raises(ValueError):
+        code(PauliString.parse("Z3"), 2)
+
+
+@pytest.mark.parametrize("n_qubits", [1, 2, 3])
+def test_codes_follow_the_product_rule(n_qubits):
+    strings = list(all_strings(n_qubits))
+    for a in strings:
+        for b in strings:
+            power, product = multiply(a, b)
+            code_a, code_b = code(a, n_qubits), code(b, n_qubits)
+            assert anticommute(code_a, code_b) == bool(power % 2)
+            assert code(product, n_qubits) == code_a ^ code_b
 
 
 def test_parse_basis_label():

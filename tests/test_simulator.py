@@ -16,6 +16,7 @@ from bbgky_zne.simulator import (
     error_level,
     evolve_exact,
     evolve_noisy,
+    factor_rotation,
     fold_schedule,
     sample_estimate,
     shifted_error_level,
@@ -24,6 +25,7 @@ from bbgky_zne.simulator import (
 )
 from conftest import random_hamiltonian, random_measurements
 from oracles import (
+    apply_local_transfer,
     axes_of,
     dense_hamiltonian,
     depolarize_reference,
@@ -114,6 +116,18 @@ def test_transfer_matrix_matches_dense_heisenberg(rng, n_qubits, order):
         np.testing.assert_allclose(
             transfer_matrix(factor), heisenberg_transfer(factor), rtol=0, atol=1e-14
         )
+
+
+@pytest.mark.parametrize("n_qubits", [2, 3, 4])
+@pytest.mark.parametrize("order", [1, 2])
+def test_factor_rotation_matches_dense_heisenberg_action(rng, n_qubits, order):
+    for factor in trotter_factors(random_hamiltonian(rng, n_qubits), 0.37, order):
+        r = rng.normal(size=(4,) * n_qubits)
+        cos, sin, flip = factor_rotation(factor, n_qubits)
+        bits = r.reshape((2,) * (2 * n_qubits))
+        ours = (cos * bits + sin * bits[flip]).reshape(r.shape)
+        expected = apply_local_transfer(r, heisenberg_transfer(factor), factor.string.sites)
+        np.testing.assert_allclose(ours, expected, rtol=0, atol=1e-14)
 
 
 @pytest.mark.parametrize("order,ratio", [(1, 4.0), (2, 8.0)])
