@@ -30,7 +30,7 @@ import numpy as np
 
 from .errors import ResourceLimitError
 from .jsonio import require_keys, require_type
-from .pauli import PauliString, anticommute, code, dense_pauli, multiply
+from .pauli import PauliString, anticommute, code, decode, dense_pauli, multiply
 
 #: equation coefficients with magnitude below this are dropped
 COEFF_TOL = 1e-12
@@ -51,8 +51,8 @@ class SpinHamiltonian:
 
     def __post_init__(self) -> None:
         n = int(self.n_qubits)
-        if n < 1:
-            raise ValueError(f"n_qubits must be >= 1, got {n}")
+        if n != self.n_qubits or n < 1:
+            raise ValueError(f"n_qubits must be an integer >= 1, got {self.n_qubits}")
         h = np.asarray(self.h, dtype=float)
         V = np.asarray(self.V, dtype=float)
         if h.shape != (n, 3):
@@ -126,6 +126,18 @@ class SpinHamiltonian:
             out += c * dense_pauli(string, self.n_qubits)
         return out
 
+    @cached_property
+    def edges(self) -> tuple[tuple[int, float], ...]:
+        """The terms c P of :attr:`terms` as ``(code(P), 2c)``, dropping those
+        with ``|2c|`` below :data:`COEFF_TOL`: each links a string a that
+        anticommutes with P to ``a ^ code(P)`` with coefficient ``+-2c``
+        (:func:`derive_equation`)."""
+        return tuple(
+            (code(string, self.n_qubits), 2.0 * c)
+            for string, c in self.terms
+            if abs(2.0 * c) >= COEFF_TOL
+        )
+
 
 @dataclass(frozen=True)
 class BbgkyEquation:
@@ -171,31 +183,22 @@ class BbgkyEquation:
         return cls(PauliString.parse(data["lhs"]), tuple(terms))
 
 
-def _check_string(ham: SpinHamiltonian, s: PauliString) -> None:
-    if s.max_site() > ham.n_qubits:
-        raise ValueError(
-            f"string {s.token()!r} references site {s.max_site()} "
-            f"on a {ham.n_qubits}-qubit Hamiltonian"
-        )
-
-
 def derive_equation(ham: SpinHamiltonian, s: PauliString) -> BbgkyEquation:
     """Expand ``d/dt <s> = i <[H, s]>`` into Pauli-string expectations.
 
     Each term ``c P`` of H that anticommutes with s contributes
     ``2 i c P s``; with ``P s = 1j**power * t`` (power odd) that is ``-2c``
     (power 1) or ``+2c`` (power 3) on ``<t>``. Distinct terms reach distinct
-    strings, so no contributions merge; coefficients below
-    :data:`COEFF_TOL` are dropped.
+    strings, so no contributions merge; terms are read from
+    :attr:`SpinHamiltonian.edges`, which drops coefficients below
+    :data:`COEFF_TOL`.
     """
-    _check_string(ham, s)
+    a = code(s, ham.n_qubits)
     terms = []
-    for string, c in ham.terms:
-        power, t = multiply(string, s)
-        if power % 2:
-            coeff = 2.0 * c if power == 3 else -2.0 * c
-            if abs(coeff) >= COEFF_TOL:
-                terms.append((coeff, t))
+    for p, coeff in ham.edges:
+        power, t = multiply(p, a)
+        if power & 1:
+            terms.append((coeff if power == 3 else -coeff, decode(t, ham.n_qubits)))
     return BbgkyEquation(s, tuple(terms))
 
 
@@ -309,8 +312,6 @@ def select_subset(
         raise ValueError("seeds must be distinct")
     if radius < 0:
         raise ValueError(f"radius must be >= 0, got {radius}")
-    for s in seeds:
-        _check_string(ham, s)
 
     equation = cache(partial(derive_equation, ham))
     members = _grow(lambda s: equation(s).strings, seeds, radius)
@@ -329,17 +330,15 @@ def decompose(ham: SpinHamiltonian) -> list[int]:
     """Sizes of the connected components of the full hierarchy graph, in
     ascending order, over all ``4**n_qubits`` strings.
 
-    The graph is walked on integer codes (:func:`~bbgky_zne.pauli.code`): a
-    term c P links a to ``a ^ code(P)`` when the two anticommute and
-    ``|2c|`` reaches :data:`COEFF_TOL`, exactly the edges of
-    :func:`derive_equation`. Each component is an unvisited code grown until
-    nothing new is added."""
+    The graph is walked on integer codes (:func:`~bbgky_zne.pauli.code`) along
+    :attr:`SpinHamiltonian.edges`, the links of :func:`derive_equation`. Each
+    component is an unvisited code grown until nothing new is added."""
     n = ham.n_qubits
     if n > DECOMPOSE_MAX_QUBITS:
         raise ResourceLimitError(
             f"decompose enumerates 4**{n} strings; cap is {DECOMPOSE_MAX_QUBITS} qubits"
         )
-    masks = [code(string, n) for string, c in ham.terms if abs(2.0 * c) >= COEFF_TOL]
+    masks = [p for p, _ in ham.edges]
 
     def neighbours(a: int) -> list[int]:
         return [a ^ m for m in masks if anticommute(a, m)]

@@ -16,12 +16,16 @@ Conventions used everywhere:
   It is the string's index in :func:`all_strings` order and its flat index
   in a ``(4,) * n`` array. The product of two strings has the XOR of their
   codes, up to phase, because per site two different axes give the third.
+* :func:`multiply` on codes is the one Pauli product of the package: the
+  hierarchy's equations and components and the simulator's Trotter
+  rotations all read their phases from it, or from :func:`anticommute`,
+  its parity.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product
+from functools import lru_cache
 from typing import Iterator, Mapping
 
 import numpy as np
@@ -117,28 +121,6 @@ class PauliString:
         return self.token()
 
 
-def multiply(a: PauliString, b: PauliString) -> tuple[int, PauliString]:
-    """The product ``a * b = 1j**power * string``, returned as ``(power, string)``.
-
-    Per site, equal axes cancel to the identity and two different axes give
-    the third one (``axis_a ^ axis_b`` in the 1, 2, 3 numbering) with phase
-    ``+1j`` for the cyclic order X -> Y -> Z and ``-1j`` otherwise. So ``power``
-    is odd exactly when ``a`` and ``b`` anticommute.
-    """
-    axes = dict(a.factors)
-    power = 0
-    for site, b_axis in b.factors:
-        a_axis = axes.get(site, 0)
-        if a_axis == 0:
-            axes[site] = b_axis
-        elif a_axis == b_axis:
-            del axes[site]
-        else:
-            axes[site] = a_axis ^ b_axis
-            power += 1 if (b_axis - a_axis) % 3 == 1 else 3
-    return power % 4, PauliString(tuple(axes.items()))
-
-
 def dense_pauli(string: PauliString, n_qubits: int) -> np.ndarray:
     """Dense matrix of a Pauli string, site 1 as the leftmost factor."""
     if string.max_site() > n_qubits:
@@ -153,40 +135,74 @@ def dense_pauli(string: PauliString, n_qubits: int) -> np.ndarray:
 
 
 def all_strings(n_qubits: int, include_identity: bool = True) -> Iterator[PauliString]:
-    """Iterate over all ``4**n_qubits`` Pauli strings (axis 0 = absent site)."""
-    for assignment in product((0, 1, 2, 3), repeat=n_qubits):
-        pairs = tuple(
-            (site, axis) for site, axis in enumerate(assignment, start=1) if axis
-        )
-        if not pairs and not include_identity:
-            continue
-        yield PauliString(pairs)
-
-
-#: :func:`anticommute` masks one bit per site, enough for this many sites
-CODE_MAX_QUBITS = 32
-_LOW_BITS = int("01" * CODE_MAX_QUBITS, 2)
+    """Iterate over all ``4**n_qubits`` Pauli strings in code order."""
+    for a in range(0 if include_identity else 1, 4**n_qubits):
+        yield decode(a, n_qubits)
 
 
 def code(string: PauliString, n_qubits: int) -> int:
     """The string's index in ``all_strings(n_qubits)`` order: base 4, site 1
     most significant, the axis as the digit."""
-    if not 0 <= n_qubits <= CODE_MAX_QUBITS or string.max_site() > n_qubits:
-        raise ValueError(
-            f"string {string.token()!r} has no code on {n_qubits} qubits "
-            f"(cap {CODE_MAX_QUBITS})"
-        )
+    if n_qubits < 0 or string.max_site() > n_qubits:
+        raise ValueError(f"string {string.token()!r} does not fit on {n_qubits} qubits")
     return sum(axis << 2 * (n_qubits - site) for site, axis in string.factors)
+
+
+def decode(a: int, n_qubits: int) -> PauliString:
+    """The string with code ``a`` on ``n_qubits`` sites; inverse of :func:`code`."""
+    if not 0 <= a < 4**n_qubits:
+        raise ValueError(f"code {a} does not fit on {n_qubits} qubits")
+    return PauliString(
+        tuple(
+            (site, axis)
+            for site in range(1, n_qubits + 1)
+            if (axis := a >> 2 * (n_qubits - site) & 3)
+        )
+    )
+
+
+def _low_bits(a: int) -> int:
+    """``0b0101...01`` over the digits of code ``a``: the low bit of each site."""
+    return (1 << (a.bit_length() + 1 & ~1)) // 3
+
+
+@lru_cache(maxsize=4096)
+def _swap_bits(b: int) -> int:
+    """Code ``b`` with the two bits of each digit swapped (X <-> Y). Cached,
+    because the hierarchy tests each of 4**n codes against the same few
+    term codes."""
+    low = _low_bits(b)
+    return (b & low) << 1 | b >> 1 & low
 
 
 def anticommute(a: int, b: int) -> bool:
     """Whether the strings with codes ``a`` and ``b`` anticommute.
 
     With the digit bits (hi, lo) = X (0, 1), Y (1, 0), Z (1, 1), two axes on
-    one site anticommute exactly when ``hi_a lo_b ^ hi_b lo_a`` is 1, and two
-    strings anticommute when an odd number of sites do (the symplectic
-    product of Aaronson and Gottesman)."""
-    return bool((((a >> 1) & b ^ (b >> 1) & a) & _LOW_BITS).bit_count() & 1)
+    one site anticommute exactly when ``hi_a lo_b ^ lo_a hi_b`` is 1, the
+    parity of the digit of a AND the swapped digit of b, and two strings
+    anticommute when an odd number of sites do (the symplectic product of
+    Aaronson and Gottesman). Agrees with the parity of :func:`multiply`'s
+    power."""
+    return bool((a & _swap_bits(b)).bit_count() & 1)
+
+
+def multiply(a: int, b: int) -> tuple[int, int]:
+    """The product of the strings with codes ``a`` and ``b``, as ``(power,
+    a ^ b)`` with ``a * b = 1j**power * string(a ^ b)``.
+
+    Per site let x = hi ^ lo and z = hi, so that the axis is
+    ``1j**(x z) X**x Z**z`` (Y = iXZ). Moving ``Z**z_a`` past ``X**x_b``
+    gives ``(-1)**(z_a x_b)``, so ``power = |Y in a| + |Y in b| - |Y in a^b|
+    + 2 |z_a x_b|`` mod 4, with x z = 1 exactly on Y (Aaronson and
+    Gottesman's phase rule). ``power`` is odd exactly when the two strings
+    anticommute: then per site two different axes give the third with ``+1j``
+    for the cyclic order X -> Y -> Z."""
+    c = a ^ b
+    low = _low_bits(a | b)
+    ys = (a >> 1 & ~a & low).bit_count() + (b >> 1 & ~b & low).bit_count()
+    power = ys - (c >> 1 & ~c & low).bit_count() + 2 * (a >> 1 & (b ^ b >> 1) & low).bit_count()
+    return power % 4, c
 
 
 def parse_basis_label(label: str, n_qubits: int) -> tuple[int, ...]:

@@ -53,7 +53,7 @@ class SchwingerParams:
     penalty: float = 100.0
 
     def __post_init__(self) -> None:
-        if int(self.n_qubits) < 2 or int(self.n_qubits) % 2:
+        if int(self.n_qubits) != self.n_qubits or self.n_qubits < 2 or self.n_qubits % 2:
             raise ValueError(
                 f"n_qubits must be an even integer >= 2, got {self.n_qubits}"
             )

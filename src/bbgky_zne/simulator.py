@@ -5,9 +5,10 @@ shape ``(4,) * n`` whose entry ``r[a_1, ..., a_n]`` is the expectation of
 the string with axis ``a_i`` on site i (axis 0 is the identity), in the
 digit order of :func:`~bbgky_zne.pauli.all_strings`, so that the flat index
 of a string is its :func:`~bbgky_zne.pauli.code`. Every Trotter factor
-``exp(-i angle P)`` acts on it through its 4^k x 4^k transfer matrix on its
-own k <= 2 sites, which mixes each string a only with its partner P a, at
-flat index ``a ^ code(P)`` (:func:`factor_rotation`), and a uniform
+``exp(-i angle P)`` leaves a string a that commutes with P alone and mixes
+one that anticommutes with its partner P a, at flat index ``a ^ code(P)``,
+through ``cos(2 angle)`` and ``sin(2 angle)``, with the sign of the phase
+from :func:`~bbgky_zne.pauli.multiply` (:func:`factor_rotation`), and a uniform
 depolarizing channel, applied after every factor, is diagonal:
 it damps each string that touches its sites. An optional readout bit-flip is
 folded into each measured expectation. Noise amplification
@@ -38,14 +39,7 @@ import numpy as np
 from .errors import ResourceLimitError
 from .hierarchy import SpinHamiltonian
 from .jsonio import float_array, require_keys, require_type
-from .pauli import (
-    ObservableCombination,
-    PauliString,
-    all_strings,
-    code,
-    multiply,
-    parse_basis_label,
-)
+from .pauli import ObservableCombination, PauliString, code, multiply, parse_basis_label
 
 #: qubit cap of the noisy simulation, whose state holds 4^n reals
 NOISY_MAX_QUBITS = 8
@@ -271,45 +265,27 @@ def trotter_factors(ham: SpinHamiltonian, dt: float, order: int = 1) -> tuple[Tr
     return tuple(half + half[::-1])
 
 
-def _local_string(factor: TrotterFactor) -> PauliString:
-    """The factor's string moved onto sites 1..k, keeping the site order."""
-    return PauliString(tuple(enumerate((axis for _, axis in factor.string.factors), 1)))
-
-
-def transfer_matrix(factor: TrotterFactor) -> np.ndarray:
-    """Pauli-transfer matrix of ``exp(-i * angle * P)`` on its own k sites
-    (multi-indices in ascending site order), shaped ``(4,) * 2k`` so that
-    ``r'_a = sum_b R[a, b] r_b``. A string a that commutes with P keeps its
-    value; one with ``P a = 1j**power * b``, power odd, moves to
-    ``cos(2 angle) <a> -+ sin(2 angle) <b>`` for power 1 / 3, the signs of
-    :func:`~bbgky_zne.hierarchy.derive_equation`."""
-    k = len(factor.string)
-    local = _local_string(factor)
-    cos, sin = math.cos(2.0 * factor.angle), math.sin(2.0 * factor.angle)
-    transfer = np.eye(4**k).reshape((4,) * (2 * k))
-    index = dict(zip(all_strings(k), np.ndindex((4,) * k)))
-    for a, row in index.items():
-        power, b = multiply(local, a)
-        if power % 2:
-            transfer[row + row] = cos
-            transfer[row + index[b]] = sin if power == 3 else -sin
-    return transfer
-
-
 def factor_rotation(factor: TrotterFactor, n_qubits: int) -> tuple[np.ndarray, np.ndarray, tuple]:
     """``(cos, sin, flip)`` such that the factor maps the ``(2,) * 2n`` bit
     view r of the state (two bits per site, site 1 first) to
     ``cos * r + sin * r[flip]``.
 
-    ``cos`` and ``sin`` are the diagonal entries ``R[a, a]`` and the partner
-    entries ``R[a, P a]`` of :func:`transfer_matrix`, shaped to broadcast
-    from the factor's own bit axes. The partner code is ``a ^ code(P)``, so
-    ``flip`` reverses the bit axes set in ``code(P)``: ``r[flip]`` is a view
-    holding ``<P a>`` at a."""
-    k = len(factor.string)
-    transfer = transfer_matrix(factor).reshape(4**k, 4**k)
-    local = code(_local_string(factor), k)
-    rows = np.arange(4**k)
+    A string a that commutes with P keeps its value; one with
+    ``P a = 1j**power * b`` (:func:`~bbgky_zne.pauli.multiply`), power odd,
+    moves to ``cos(2 angle) <a> -+ sin(2 angle) <b>`` for power 1 / 3, the
+    signs of :func:`~bbgky_zne.hierarchy.derive_equation`. ``cos`` and
+    ``sin`` hold these factors for the 4^k strings on the factor's own k <= 2
+    sites, shaped to broadcast from their bit axes. The partner code is
+    ``a ^ code(P)``, so ``flip`` reverses the bit axes set in ``code(P)``:
+    ``r[flip]`` is a view holding ``<P a>`` at a."""
+    c, s = math.cos(2.0 * factor.angle), math.sin(2.0 * factor.angle)
+    local = int("".join(str(axis) for _, axis in factor.string.factors), 4)
+    cos = np.ones(4 ** len(factor.string))
+    sin = np.zeros_like(cos)
+    for a in range(cos.size):
+        power, _ = multiply(local, a)
+        if power & 1:
+            cos[a], sin[a] = c, s if power == 3 else -s
     shape = [1] * (2 * n_qubits)
     for site in factor.string.sites:
         shape[2 * site - 2 : 2 * site] = (2, 2)
@@ -318,7 +294,7 @@ def factor_rotation(factor: TrotterFactor, n_qubits: int) -> tuple[np.ndarray, n
         slice(None, None, -1) if p >> (2 * n_qubits - 1 - axis) & 1 else slice(None)
         for axis in range(2 * n_qubits)
     )
-    return transfer[rows, rows].reshape(shape), transfer[rows, rows ^ local].reshape(shape), flip
+    return cos.reshape(shape), sin.reshape(shape), flip
 
 
 def depolarize(r: np.ndarray, sites: Sequence[int], p: float, n_qubits: int) -> np.ndarray:
@@ -367,9 +343,7 @@ def evolve_noisy(
     correlators = tuple(correlators)
     if not correlators:
         raise ValueError("at least one correlator is required")
-    for c in correlators:
-        if c.max_site() > n:
-            raise ValueError(f"correlator {c.token()!r} does not fit on {n} qubits")
+    codes = np.array([code(c, n) for c in correlators])
     bits = parse_basis_label(initial_state, n)
     start = reduce(np.multiply.outer, [np.array([1.0, 0.0, 0.0, 1.0 - 2.0 * b]) for b in bits])
     bit_shape = (2,) * (2 * n)
@@ -378,7 +352,6 @@ def evolve_noisy(
     rotations = [factor_rotation(f, n) for f in factors]
     supports = [f.string.sites for f in factors]
     rates = [noise.depol_1q if len(s) == 1 else noise.depol_2q for s in supports]
-    codes = np.array([code(c, n) for c in correlators])
     damping = np.array([(1.0 - 2.0 * noise.readout_flip) ** len(c) for c in correlators])
 
     n_corr, n_steps, n_levels = len(correlators), plan.n_steps, len(plan.fold_levels)

@@ -13,7 +13,7 @@ from bbgky_zne.hierarchy import (
     select_subset,
 )
 from bbgky_zne.pauli import PauliString, all_strings
-from bbgky_zne.schwinger import SchwingerParams, build_hamiltonian
+from bbgky_zne.schwinger import SchwingerParams, build_hamiltonian, hierarchy_seeds
 from conftest import random_hamiltonian, random_string
 from oracles import (
     axes_of,
@@ -33,6 +33,12 @@ def test_hamiltonian_validation():
     ham = SpinHamiltonian(2, np.zeros((2, 3)), np.zeros((2, 2, 3, 3)))
     with pytest.raises(ValueError):
         ham.h[0, 0] = 1.0  # arrays are frozen
+
+
+def test_hamiltonian_rejects_fractional_qubit_counts():
+    with pytest.raises(ValueError, match="n_qubits"):
+        SpinHamiltonian(2.5, np.zeros((2, 3)), np.zeros((2, 2, 3, 3)))
+    assert SpinHamiltonian(2.0, np.zeros((2, 3)), np.zeros((2, 2, 3, 3))).n_qubits == 2
 
 
 def test_build_canonicalizes_site_order():
@@ -179,6 +185,16 @@ def test_subset_rejects_bad_seeds(rng):
         select_subset(ham, (z1, z1), 0)
     with pytest.raises(ValueError):
         select_subset(ham, (PauliString.parse("Z3"),), 0)
+
+
+def test_subset_of_the_forty_site_chain():
+    # codes of 40 sites hold 80 bits: no fixed-width mask may cut them off
+    ham = build_hamiltonian(SchwingerParams(n_qubits=40))
+    subset = select_subset(ham, hierarchy_seeds(40), 1)
+    assert (subset.n_correlators, subset.n_equations) == (3236, 118)
+    last = derive_equation(ham, PauliString.parse("Z40"))
+    assert subset.equations[39] == last
+    assert [s.token() for s in last.strings] == ["X39 Y40", "Y39 X40"]
 
 
 @pytest.mark.parametrize("radius", [2.7, -1, "1"])

@@ -5,6 +5,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from bbgky_zne import mitigation
 from bbgky_zne.errors import IllPosedFitError
 from bbgky_zne.hierarchy import BbgkyEquation, HierarchySubset
 from bbgky_zne.mitigation import (
@@ -483,3 +484,17 @@ def test_solve_rejects_too_few_distinct_levels():
         solve(assemble(ms, toy_subset(), 2, 0.5))
     with pytest.raises(IllPosedFitError):
         run_mitigation(ms, None, 2, 0.5)
+
+
+def test_degree_beyond_the_levels_fails_before_the_vandermonde_blocks(monkeypatch):
+    # the blocks hold Q * N * levels * (degree + 1) floats, so a huge degree
+    # must be refused from the level count alone
+    monkeypatch.setattr(
+        mitigation, "_vandermonde", lambda *args: pytest.fail("Vandermonde blocks built")
+    )
+    ms = toy_measurements()  # two levels per step
+    for degree in (2, 100_000):
+        with pytest.raises(IllPosedFitError, match="step 1: 2 error levels"):
+            assemble(ms, toy_subset(), degree, 0.5)
+        with pytest.raises(IllPosedFitError, match="step 1: 2 error levels"):
+            zne_baseline(ms, degree)

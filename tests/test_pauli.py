@@ -7,6 +7,7 @@ from bbgky_zne.pauli import (
     all_strings,
     anticommute,
     code,
+    decode,
     dense_pauli,
     multiply,
     parse_basis_label,
@@ -44,15 +45,17 @@ def test_parse_rejects_garbage():
 
 
 def test_multiply_matches_dense_products():
-    strings = list(all_strings(2))
-    for a in strings:
-        for b in strings:
-            power, product = multiply(a, b)
-            expected = 1j**power * dense_pauli(product, 2)
-            np.testing.assert_array_equal(dense_pauli(a, 2) @ dense_pauli(b, 2), expected)
-    a, b = PauliString.parse("X1 Y2"), PauliString.parse("Y1 Z3")
-    assert multiply(a, b) == (1, PauliString.parse("Z1 Y2 Z3"))
-    assert multiply(b, a) == (3, PauliString.parse("Z1 Y2 Z3"))
+    for n in (2, 3):
+        for a in range(4**n):
+            for b in range(4**n):
+                power, product = multiply(a, b)
+                expected = 1j**power * dense_pauli(decode(product, n), n)
+                np.testing.assert_array_equal(
+                    dense_pauli(decode(a, n), n) @ dense_pauli(decode(b, n), n), expected
+                )
+    a, b = code(PauliString.parse("X1 Y2"), 3), code(PauliString.parse("Y1 Z3"), 3)
+    assert multiply(a, b) == (1, code(PauliString.parse("Z1 Y2 Z3"), 3))
+    assert multiply(b, a) == (3, code(PauliString.parse("Z1 Y2 Z3"), 3))
 
 
 def test_identity_properties():
@@ -105,15 +108,48 @@ def test_code_rejects_strings_beyond_the_register():
         code(PauliString.parse("Z3"), 2)
 
 
+def site_product(a_axis: int, b_axis: int) -> tuple[int, int]:
+    """One site's ``sigma^a sigma^b = 1j**power sigma^axis``: equal axes
+    cancel, and two different axes give the third with ``+1j`` for the cyclic
+    order X -> Y -> Z."""
+    if 0 in (a_axis, b_axis) or a_axis == b_axis:
+        return 0, a_axis ^ b_axis
+    return (1 if (b_axis - a_axis) % 3 == 1 else 3), a_axis ^ b_axis
+
+
 @pytest.mark.parametrize("n_qubits", [1, 2, 3])
 def test_codes_follow_the_product_rule(n_qubits):
-    strings = list(all_strings(n_qubits))
-    for a in strings:
-        for b in strings:
-            power, product = multiply(a, b)
-            code_a, code_b = code(a, n_qubits), code(b, n_qubits)
-            assert anticommute(code_a, code_b) == bool(power % 2)
-            assert code(product, n_qubits) == code_a ^ code_b
+    for a in range(4**n_qubits):
+        for b in range(4**n_qubits):
+            sites = [
+                site_product(a >> 2 * k & 3, b >> 2 * k & 3) for k in range(n_qubits)
+            ]
+            power = sum(p for p, _ in sites) % 4
+            product = sum(axis << 2 * k for k, (_, axis) in enumerate(sites))
+            assert multiply(a, b) == (power, product)
+            assert anticommute(a, b) == bool(power % 2)
+
+
+@pytest.mark.parametrize("n_qubits", [0, 1, 2, 3])
+def test_decode_inverts_code(n_qubits):
+    for a in range(4**n_qubits):
+        assert code(decode(a, n_qubits), n_qubits) == a
+    for s in all_strings(n_qubits):
+        assert decode(code(s, n_qubits), n_qubits) == s
+    with pytest.raises(ValueError):
+        decode(4**n_qubits, n_qubits)
+
+
+def test_codes_of_forty_sites():
+    s = PauliString.parse("X1 Y17 Z33 X40")
+    a = code(s, 40)
+    assert a == 1 << 78 | 2 << 46 | 3 << 14 | 1
+    assert decode(a, 40) == s
+    t = PauliString.parse("Z1 Y17 Z40")  # anticommutes on sites 1 and 40 only
+    power, product = multiply(a, code(t, 40))
+    assert decode(product, 40) == PauliString.parse("Y1 Z33 Y40")
+    assert power == 2 and not anticommute(a, code(t, 40))
+    assert anticommute(a, code(PauliString.parse("Z40"), 40))
 
 
 def test_parse_basis_label():

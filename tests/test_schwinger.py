@@ -44,6 +44,12 @@ def test_params_validation():
     assert SchwingerParams(4, volume=30.0).x == pytest.approx((4 / 30) ** 2)
 
 
+def test_params_reject_fractional_qubit_counts():
+    with pytest.raises(ValueError, match="n_qubits"):
+        SchwingerParams(n_qubits=4.5)
+    assert SchwingerParams(n_qubits=4.0).n_qubits == 4
+
+
 def test_hamiltonian_frozen_coefficients():
     ham = build_hamiltonian(SchwingerParams(4, 0.5, 30.0, 0.25, 100.0))
     fields = [ham.field(i, 3) for i in range(1, 5)]

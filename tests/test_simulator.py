@@ -20,7 +20,6 @@ from bbgky_zne.simulator import (
     fold_schedule,
     sample_estimate,
     shifted_error_level,
-    transfer_matrix,
     trotter_factors,
 )
 from conftest import random_hamiltonian, random_measurements
@@ -109,19 +108,10 @@ def test_factor_unitary_matches_exponential(rng):
 
 @pytest.mark.parametrize("n_qubits", [2, 3, 4])
 @pytest.mark.parametrize("order", [1, 2])
-def test_transfer_matrix_matches_dense_heisenberg(rng, n_qubits, order):
+def test_factor_rotation_matches_dense_heisenberg_action(rng, n_qubits, order):
     factors = trotter_factors(random_hamiltonian(rng, n_qubits), 0.37, order)
     assert {len(f.string) for f in factors} == {1, 2}
     for factor in factors:
-        np.testing.assert_allclose(
-            transfer_matrix(factor), heisenberg_transfer(factor), rtol=0, atol=1e-14
-        )
-
-
-@pytest.mark.parametrize("n_qubits", [2, 3, 4])
-@pytest.mark.parametrize("order", [1, 2])
-def test_factor_rotation_matches_dense_heisenberg_action(rng, n_qubits, order):
-    for factor in trotter_factors(random_hamiltonian(rng, n_qubits), 0.37, order):
         r = rng.normal(size=(4,) * n_qubits)
         cos, sin, flip = factor_rotation(factor, n_qubits)
         bits = r.reshape((2,) * (2 * n_qubits))

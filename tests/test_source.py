@@ -89,3 +89,37 @@ def test_package_imports_only_stdlib_itself_and_declared_dependencies():
         for path in sorted(PACKAGE.glob("*.py"))
     }
     assert {name: foreign for name, foreign in found.items() if foreign} == {}
+
+
+def unreferenced_private_functions(sources: dict[str, str]) -> list[str]:
+    """Module-level functions whose names start with one underscore and that
+    no module of ``sources`` (name -> text) reads by name or attribute."""
+    trees = {name: ast.parse(text) for name, text in sources.items()}
+    used = {
+        node.id if isinstance(node, ast.Name) else node.attr
+        for tree in trees.values()
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.Name, ast.Attribute))
+    }
+    return [
+        f"{name}: {node.name} (line {node.lineno})"
+        for name, tree in trees.items()
+        for node in tree.body
+        if isinstance(node, ast.FunctionDef)
+        and node.name.startswith("_")
+        and not node.name.startswith("__")
+        and node.name not in used
+    ]
+
+
+def test_unreferenced_private_function_detector():
+    sources = {
+        "a.py": "def _used():\n    pass\ndef _left():\n    pass\ndef __dunder__():\n    pass\n",
+        "b.py": "from a import _used\nimport a\nx = a._used() or _used\n",
+    }
+    assert unreferenced_private_functions(sources) == ["a.py: _left (line 3)"]
+
+
+def test_every_private_function_is_referenced():
+    sources = {path.name: path.read_text() for path in sorted(PACKAGE.glob("*.py"))}
+    assert unreferenced_private_functions(sources) == []
