@@ -105,6 +105,12 @@ def cmd_mitigate(
 ) -> int:
     measurements = MeasurementSet.from_dict(load_json(measurements_path))
     subset = HierarchySubset.from_dict(load_json(subset_path))
+    n_qubits = config.schwinger.n_qubits
+    strings = {*measurements.correlators, *subset.correlators}
+    strings.update(s for eq in subset.equations for s in (eq.lhs, *eq.strings))
+    beyond = sorted(s.token() for s in strings if s.max_site() > n_qubits)
+    if beyond:
+        raise ValueError(f"strings {beyond} lie beyond the {n_qubits}-qubit register")
 
     degree = config.mitigation.degree
     dt = config.plan.dt

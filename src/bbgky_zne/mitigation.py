@@ -58,7 +58,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import Sequence
 
 import numpy as np
@@ -232,6 +232,19 @@ def _vandermonde(measurements: MeasurementSet, degree: int) -> np.ndarray:
     return (eps[..., None] ** np.arange(degree, -1, -1)).reshape(-1, shape[2], degree + 1)
 
 
+@lru_cache(maxsize=8)
+def _derivative_weights(n_steps: int, dt: float) -> np.ndarray:
+    """Read-only ``weights[step, s]`` of sample s in the Bernstein derivative
+    at time point step. Cached, because every fit of a scan builds the same
+    table of (n_steps + 1)**2 :func:`bernstein_deriv_weight` calls."""
+    grid = range(n_steps + 1)
+    weights = np.array(
+        [[bernstein_deriv_weight(s, n_steps, step / n_steps, dt) for s in grid] for step in grid]
+    )
+    weights.flags.writeable = False
+    return weights
+
+
 def assemble(
     measurements: MeasurementSet,
     subset: HierarchySubset | None,
@@ -267,11 +280,7 @@ def assemble(
         equations = subset.equations
 
     layout = ProblemLayout(n_corr, n_steps, measurements.n_levels, degree, len(equations))
-    # weights[step, s] of sample s in the derivative at time point step
-    grid = range(n_steps + 1)
-    weights = np.array(
-        [[bernstein_deriv_weight(s, n_steps, step / n_steps, dt) for s in grid] for step in grid]
-    )
+    weights = _derivative_weights(n_steps, dt)
     constraints = np.zeros((len(equations) * (n_steps + 1), n_corr * n_steps), order="F")
     rhs = np.zeros(len(equations) * (n_steps + 1))
     index = {string: i for i, string in enumerate(measurements.correlators)}

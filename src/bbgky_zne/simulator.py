@@ -11,11 +11,22 @@ through ``cos(2 angle)`` and ``sin(2 angle)``, with the sign of the phase
 from :func:`~bbgky_zne.pauli.multiply` (:func:`factor_rotation`), and a uniform
 depolarizing channel, applied after every factor, is diagonal:
 it damps each string that touches its sites. An optional readout bit-flip is
-folded into each measured expectation. Noise amplification
-follows the unitary-folding picture at fractional levels eta: after step s
-the cumulative number of inserted identity pairs is ``floor(eta * s)``, and
-each pair contributes two extra noisy step-equivalents (noise channels only,
-no coherent drift). The resulting error level is
+folded into each measured expectation.
+
+Each :func:`evolve_noisy` call allocates one state buffer and reuses it for
+every fold level. Before the first step it builds each factor's
+``(cos, sin)`` and the flipped view of that buffer, and one
+:func:`damping_tensor` per distinct (support, rate). :func:`depolarize`
+changes the state it is given in place, as one product with that tensor.
+When the tensors would exceed :data:`DAMPING_TENSOR_BYTES`, each channel
+instead scales the whole state and restores the strings it spares. Both
+forms give the same floats. Nothing the call builds outlives it.
+
+Noise amplification follows the unitary-folding picture at fractional
+levels eta: after step s the cumulative number of inserted identity pairs
+is ``floor(eta * s)``, and each pair contributes two extra noisy
+step-equivalents (noise channels only, no coherent drift). The resulting
+error level is
 
     eps(s, eta) = (s + 2 * floor(eta * s)) / s  ->  2 * eta + 1,
 
@@ -45,6 +56,10 @@ from .pauli import ObservableCombination, PauliString, code, multiply, parse_bas
 NOISY_MAX_QUBITS = 8
 #: qubit cap of the dense 2^n x 2^n eigenbasis of the exact reference
 EXACT_MAX_QUBITS = 10
+#: bytes of damping tensors one :func:`evolve_noisy` call may hold. Past it
+#: they outgrow a core's cache, and reading a tensor per channel costs more
+#: than scaling the whole state and restoring the strings the channel spares.
+DAMPING_TENSOR_BYTES = 2**21
 
 
 @dataclass(frozen=True)
@@ -297,16 +312,47 @@ def factor_rotation(factor: TrotterFactor, n_qubits: int) -> tuple[np.ndarray, n
     return cos.reshape(shape), sin.reshape(shape), flip
 
 
-def depolarize(r: np.ndarray, sites: Sequence[int], p: float, n_qubits: int) -> np.ndarray:
-    """Uniform depolarizing channel on ``sites``: with probability p their
-    marginal is replaced by the maximally mixed state, so every string that
-    acts on one of them is damped by ``1 - p``."""
-    if p == 0.0:
-        return r
-    untouched = tuple(0 if site in sites else slice(None) for site in range(1, n_qubits + 1))
-    out = (1.0 - p) * r
-    out[untouched] = r[untouched]
+def _untouched(sites: Sequence[int], n_qubits: int) -> tuple:
+    """Basic index of the ``(4,) * n`` state's strings that act on none of
+    ``sites``."""
+    outside = [site for site in sites if site not in range(1, n_qubits + 1)]
+    if outside:
+        raise ValueError(f"sites {outside} lie outside 1..{n_qubits}")
+    return tuple(0 if site in sites else slice(None) for site in range(1, n_qubits + 1))
+
+
+def damping_tensor(sites: Sequence[int], p: float, n_qubits: int) -> np.ndarray:
+    """``(4,) * n`` diagonal of the uniform depolarizing channel on ``sites``:
+    with probability p their marginal is replaced by the maximally mixed
+    state, so every string that acts on one of them is damped by ``1 - p``
+    and every other string keeps the factor 1.0."""
+    if not 0.0 <= p <= 1.0:
+        raise ValueError(f"depolarizing probability must lie in [0, 1], got {p}")
+    out = np.full((4,) * n_qubits, 1.0 - p)
+    out[_untouched(sites, n_qubits)] = 1.0
     return out
+
+
+def depolarize(
+    r: np.ndarray,
+    damping: np.ndarray | float,
+    kept: np.ndarray | None = None,
+    saved: np.ndarray | None = None,
+) -> np.ndarray:
+    """Apply a depolarizing channel to the state r in place and return r.
+
+    ``damping`` is the channel's :func:`damping_tensor`, or its factor
+    ``1 - p`` together with ``kept``, the view of r holding the strings the
+    channel leaves alone, and a buffer ``saved`` of that shape: then r is
+    scaled as a whole and ``kept`` is restored through ``saved``. Both give
+    the same floats, since ``x * 1.0 == x``."""
+    if kept is None:
+        r *= damping
+    else:
+        np.copyto(saved, kept)
+        r *= damping
+        np.copyto(kept, saved)
+    return r
 
 
 def sample_estimate(expectation, shots: int, rng: np.random.Generator):
@@ -344,44 +390,61 @@ def evolve_noisy(
     if not correlators:
         raise ValueError("at least one correlator is required")
     codes = np.array([code(c, n) for c in correlators])
-    bits = parse_basis_label(initial_state, n)
-    start = reduce(np.multiply.outer, [np.array([1.0, 0.0, 0.0, 1.0 - 2.0 * b]) for b in bits])
+    basis = parse_basis_label(initial_state, n)
+    start = reduce(np.multiply.outer, [np.array([1.0, 0.0, 0.0, 1.0 - 2.0 * b]) for b in basis])
     bit_shape = (2,) * (2 * n)
-
-    factors = trotter_factors(ham, plan.dt, plan.trotter_order)
-    rotations = [factor_rotation(f, n) for f in factors]
-    supports = [f.string.sites for f in factors]
-    rates = [noise.depol_1q if len(s) == 1 else noise.depol_2q for s in supports]
-    damping = np.array([(1.0 - 2.0 * noise.readout_flip) ** len(c) for c in correlators])
 
     n_corr, n_steps, n_levels = len(correlators), plan.n_steps, len(plan.fold_levels)
     values = np.empty((n_corr, n_steps, n_levels))
     eps = np.empty((n_steps, n_levels))
+    # one state buffer, reset for each fold level, so the views below are
+    # built once per call
+    r = np.empty_like(start)
+    bits = r.reshape(bit_shape)
+    flat = r.reshape(-1)
     partner = np.empty(bit_shape)
+
+    factors = trotter_factors(ham, plan.dt, plan.trotter_order)
+    supports = [f.string.sites for f in factors]
+    rates = [noise.depol_1q if len(sites) == 1 else noise.depol_2q for sites in supports]
+    noisy = {key for key in zip(supports, rates) if key[1]}
+    if len(noisy) * r.nbytes <= DAMPING_TENSOR_BYTES:
+        channels = {key: (damping_tensor(*key, n),) for key in noisy}
+    else:
+        channels, saved = {}, {}
+        for sites, p in noisy:
+            kept = r[_untouched(sites, n)]
+            buffer = saved.setdefault(len(sites), np.empty_like(kept))
+            channels[sites, p] = (1.0 - p, kept, buffer)
+    dampings = [channels.get(key) for key in zip(supports, rates)]
+    steps = []
+    for factor, damping in zip(factors, dampings):
+        cos, sin, flip = factor_rotation(factor, n)
+        steps.append((cos, sin, bits[flip], damping))
+    noise_pass = [damping for damping in dampings if damping is not None]
+    readout = np.array([(1.0 - 2.0 * noise.readout_flip) ** len(c) for c in correlators])
 
     for k, eta in enumerate(plan.fold_levels):
         rng = np.random.default_rng([plan.rng_seed, k])
-        r = start.copy()
+        np.copyto(r, start)
         for s, pairs in enumerate(fold_schedule(eta, n_steps), start=1):
-            for (cos, sin, flip), support, rate in zip(rotations, supports, rates):
-                # in place on the bit view of the contiguous r: the partners
-                # are read out before any entry changes
-                bits = r.reshape(bit_shape)
-                np.multiply(sin, bits[flip], out=partner)
+            for cos, sin, flipped, damping in steps:
+                # in place on the bit view of r: the partners are read out
+                # before any entry changes
+                np.multiply(sin, flipped, out=partner)
                 bits *= cos
                 bits += partner
-                if rate:
-                    r = depolarize(r, support, rate, n)
+                if damping is not None:
+                    depolarize(r, *damping)
             for _ in range(2 * pairs):
-                for support, rate in zip(supports, rates):
-                    if rate:
-                        r = depolarize(r, support, rate, n)
+                for damping in noise_pass:
+                    depolarize(r, *damping)
 
             if plan.shots is None:
                 eps[s - 1, k] = error_level(s, eta)
             else:
                 eps[s - 1, k] = shifted_error_level(s, eta, plan.shots, rng)
-            expectations = np.clip(r.reshape(-1)[codes] * damping, -1.0, 1.0)
+            expectations = np.clip(flat[codes] * readout, -1.0, 1.0)
             if plan.shots is None:
                 values[:, s - 1, k] = expectations
             else:

@@ -466,6 +466,41 @@ def test_malformed_input_files_exit_2(simulated_run, tmp_path, capsys, target, e
     assert "invalid input" in capsys.readouterr().err
 
 
+def test_mitigate_rejects_strings_beyond_the_register(simulated_run, tmp_path, capsys):
+    # the last correlator becomes Z9 at n=4 in both files, also where an
+    # equation names it, so the two files still agree with each other
+    config, run = simulated_run
+    measurements = json.loads((run / "measurements.json").read_text())
+    subset = json.loads((run / "subset.json").read_text())
+    last = subset["correlators"][-1]
+    assert measurements["correlators"][-1] == last
+    measurements["correlators"][-1] = subset["correlators"][-1] = "Z9"
+    named = 0
+    for equation in subset["equations"]:
+        for term in equation["terms"]:
+            if term["string"] == last:
+                term["string"] = "Z9"
+                named += 1
+    assert named
+    paths = {"measurements": measurements, "subset": subset}
+    for name, doc in paths.items():
+        paths[name] = tmp_path / f"{name}.json"
+        paths[name].write_text(json.dumps(doc))
+    out = tmp_path / "fit"
+    code = main(
+        [
+            "mitigate",
+            "--config", str(config),
+            "--out-dir", str(out),
+            "--measurements", str(paths["measurements"]),
+            "--subset", str(paths["subset"]),
+        ]
+    )
+    assert code == 2
+    assert "Z9" in capsys.readouterr().err
+    assert not (out / "mitigated.json").exists()
+
+
 def test_custom_hierarchy_seeds_flow_through(tmp_path):
     config = write_config(tmp_path, {"hierarchy": {"seeds": ["Z1"]}})
     out = tmp_path / "out"

@@ -66,6 +66,16 @@ def test_deriv_weights_sum_to_zero(rng):
             assert total == pytest.approx(0.0, abs=1e-11)
 
 
+def test_assembled_derivative_weights_are_one_shared_read_only_table():
+    table = mitigation._derivative_weights(6, 0.25)
+    assert table is mitigation._derivative_weights(6, 0.25)
+    assert not table.flags.writeable
+    expected = [
+        [bernstein_deriv_weight(s, 6, step / 6, 0.25) for s in range(7)] for step in range(7)
+    ]
+    np.testing.assert_array_equal(table, expected)
+
+
 def test_basis_derivative_matches_central_difference(rng):
     degree = 9
     samples = rng.uniform(-1.0, 1.0, size=degree + 1)

@@ -1,17 +1,21 @@
 import math
+import tracemalloc
 from functools import reduce
 
 import numpy as np
 import pytest
 
+from bbgky_zne import simulator
 from bbgky_zne.errors import ResourceLimitError
-from bbgky_zne.hierarchy import SpinHamiltonian
+from bbgky_zne.hierarchy import SpinHamiltonian, select_subset
 from bbgky_zne.pauli import PauliString, dense_pauli
+from bbgky_zne.schwinger import SchwingerParams, build_hamiltonian, hierarchy_seeds
 from bbgky_zne.simulator import (
     EvolutionPlan,
     MeasurementSet,
     NoiseModel,
     TrotterFactor,
+    damping_tensor,
     depolarize,
     error_level,
     evolve_exact,
@@ -144,18 +148,40 @@ def test_depolarize_matches_reference(rng):
         rho /= np.trace(rho).real
         r = pauli_vector(rho, n)
         for p in (0.0, 0.3, 1.0):
-            ours = depolarize(r, sites, p, n)
-            np.testing.assert_allclose(
-                ours, pauli_vector(depolarize_reference(rho, sites, p, n), n), atol=1e-13
-            )
-        assert depolarize(r, sites, 0.7, n)[0, 0, 0] == pytest.approx(1.0)
+            expected = pauli_vector(depolarize_reference(rho, sites, p, n), n)
+            # the channel works in place and returns its argument, so every
+            # call gets its own copy of r
+            state = r.copy()
+            assert depolarize(state, damping_tensor(sites, p, n)) is state
+            np.testing.assert_allclose(state, expected, rtol=0, atol=1e-13)
+            # scaling the whole state and restoring the spared strings gives
+            # the same floats
+            spared = r.copy()
+            kept = spared[tuple(0 if k in sites else slice(None) for k in range(1, n + 1))]
+            assert depolarize(spared, 1.0 - p, kept, np.empty_like(kept)) is spared
+            np.testing.assert_array_equal(spared, state)
+        state = r.copy()
+        assert depolarize(state, damping_tensor(sites, 0.7, n))[0, 0, 0] == pytest.approx(1.0)
+
+
+def test_damping_tensor_damps_the_strings_on_its_sites():
+    tensor = damping_tensor([2, 3], 0.25, 3)
+    assert tensor.shape == (4, 4, 4)
+    for index in np.ndindex(tensor.shape):
+        assert tensor[index] == (0.75 if index[1] or index[2] else 1.0)
+
+
+@pytest.mark.parametrize("sites", [[9], [0], [2, 5], [-1]])
+def test_damping_tensor_rejects_sites_outside_the_register(sites):
+    with pytest.raises(ValueError, match="outside 1..4"):
+        damping_tensor(sites, 0.1, 4)
 
 
 def test_depolarize_full_strength_mixes_marginal(rng):
     raw = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
     rho = raw @ raw.conj().T
     rho /= np.trace(rho).real
-    out = depolarize(pauli_vector(rho, 2), [1], 1.0, 2)
+    out = depolarize(pauli_vector(rho, 2), damping_tensor([1], 1.0, 2))
     assert abs(out[3, 0]) < 1e-12  # Z1
     assert abs(out[1, 0]) < 1e-12  # X1
 
@@ -239,11 +265,17 @@ def test_noiseless_run_equals_unitary_trotter(rng):
     np.testing.assert_allclose(result.initial, [1.0, 0.0], atol=1e-14)
 
 
-@pytest.mark.parametrize("n_qubits", [2, 3])
+@pytest.mark.parametrize("n_qubits", [2, 3, 4])
 @pytest.mark.parametrize("order", [1, 2])
 def test_evolve_noisy_matches_dense_density_matrix(rng, n_qubits, order):
-    ham = random_hamiltonian(rng, n_qubits)
-    noise = NoiseModel(0.01, 0.03, 0.02)
+    """Random Hamiltonians at n = 2 and 3; at n = 4 the Schwinger chain at
+    the benchmark's noise."""
+    if n_qubits == 4:
+        ham = build_hamiltonian(SchwingerParams(n_qubits=4, l0=0.4, mass_ratio=0.3))
+        noise = NoiseModel(0.001, 0.01, 0.02)
+    else:
+        ham = random_hamiltonian(rng, n_qubits)
+        noise = NoiseModel(0.01, 0.03, 0.02)
     correlators = (
         PauliString.parse("Z1"),
         PauliString.parse("X1 Y2"),
@@ -270,6 +302,45 @@ def test_evolve_noisy_matches_dense_density_matrix(rng, n_qubits, order):
             np.testing.assert_array_equal(ours.values, values)
         np.testing.assert_array_equal(ours.eps, eps)
         np.testing.assert_array_equal(ours.initial, initial)
+
+
+@pytest.mark.parametrize("shots", [None, 256])
+def test_scaled_and_restored_channels_match_damping_tensors(monkeypatch, rng, shots):
+    """Past ``DAMPING_TENSOR_BYTES`` the channels scale the whole state and
+    restore the strings they spare; the floats are the same."""
+    ham = random_hamiltonian(rng, 4)
+    plan = EvolutionPlan(4, 0.8, 2, (0.0, 1.0, 1.5), shots, 3)
+    noise = NoiseModel(0.02, 0.05, 0.01)
+    correlators = tuple(PauliString.parse(t) for t in ("Z1", "X1 Y2", "Y3 Z4", "X4"))
+    tensors = evolve_noisy(ham, "0110", plan, noise, correlators)
+    monkeypatch.setattr(simulator, "DAMPING_TENSOR_BYTES", 0)
+    restored = evolve_noisy(ham, "0110", plan, noise, correlators)
+    np.testing.assert_array_equal(restored.values, tensors.values)
+    np.testing.assert_array_equal(restored.eps, tensors.eps)
+
+
+def test_evolve_noisy_memory_stays_within_its_budget():
+    """At n = 6, r = 1 the call holds the state, its partner buffer, the
+    initial state, one damping tensor per noisy support and the values; its
+    traced peak stays below (supports + 12) states plus the values."""
+    n = 6
+    ham = build_hamiltonian(SchwingerParams(n_qubits=n, l0=0.4, mass_ratio=0.3))
+    correlators = select_subset(ham, hierarchy_seeds(n), 1).correlators
+    plan = EvolutionPlan(20, 4.0, 1, (0.0, 1.0, 1.5, 2.0), 10240, 1)
+    supports = {f.string.sites for f in trotter_factors(ham, plan.dt, 1)}
+    assert len(supports) == 21
+
+    def run():
+        return evolve_noisy(ham, "01" * (n // 2), plan, NoiseModel(0.001, 0.01, 0.02), correlators)
+
+    run()  # the first call in a process also traces the imports it triggers
+    tracemalloc.start()
+    try:
+        result = run()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= (len(supports) + 12) * 8 * 4**n + result.values.nbytes
 
 
 def test_initial_values_of_z_strings(rng):
