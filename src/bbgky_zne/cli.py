@@ -25,7 +25,13 @@ import numpy as np
 from . import verify as verify_checks
 from .config import ExperimentConfig, load_config
 from .errors import ConfigError, IllPosedFitError, ResourceLimitError
-from .hierarchy import DECOMPOSE_MAX_QUBITS, HierarchySubset, decompose, select_subset
+from .hierarchy import (
+    DECOMPOSE_MAX_QUBITS,
+    HierarchySubset,
+    decompose,
+    derive_equation,
+    select_subset,
+)
 from .jsonio import (
     atomic_write_bytes,
     atomic_write_text,
@@ -111,6 +117,16 @@ def cmd_mitigate(
     beyond = sorted(s.token() for s in strings if s.max_site() > n_qubits)
     if beyond:
         raise ValueError(f"strings {beyond} lie beyond the {n_qubits}-qubit register")
+    ham = build_hamiltonian(config.schwinger)
+    for equation in subset.equations:
+        derived = derive_equation(ham, equation.lhs)
+        if equation.strings != derived.strings or not np.allclose(
+            [c for c, _ in equation.terms], [c for c, _ in derived.terms], rtol=1e-12, atol=0.0
+        ):
+            raise ValueError(
+                f"equation for {equation.lhs.token()} differs from the config's "
+                f"Hamiltonian: got {equation}, expected {derived}"
+            )
 
     degree = config.mitigation.degree
     dt = config.plan.dt
@@ -139,7 +155,7 @@ def cmd_mitigate(
     references = []
     if observables:
         references = evolve_exact(
-            build_hamiltonian(config.schwinger),
+            ham,
             config.initial_state,
             config.plan.times,
             list(observables.values()),

@@ -40,9 +40,12 @@ constant terms alone,
     [diag(sqrt w); G] c ~= [sqrt(w) c_hat; g].
 
 With ``u = sqrt(w) (c - c_hat)`` it becomes the minimum-norm solution of
-``[G diag(w)^-1/2, I] [u; v] = g - G c_hat``, one QR of a (Q N + m) x m
-matrix for m constraint rows. Without constraint rows the fit is
-c = c_hat, which is :func:`zne_baseline`.
+``[G diag(w)^-1/2, I] [u; v] = g - G c_hat``, one Householder QR of a
+(Q N + m) x m matrix for m constraint rows. Its orthogonal factor is only
+applied, never formed: it is kept as the m reflectors and used in compact WY
+form, Q = I - V T V^T (Schreiber & Van Loan, SIAM J. Sci. Stat. Comput.
+10:53, 1989). Without constraint rows the fit is c = c_hat, which is
+:func:`zne_baseline`.
 
 Each c_hat is linear in its own block's data and the blocks are independent,
 so the shot-noise covariance of c is exactly ``J diag(var c_hat) J^T`` with
@@ -346,21 +349,47 @@ def solve(problem: MitigationProblem) -> MitigationResult:
         return MitigationResult(estimates.reshape(shape), gains_out, None)
 
     root_w = 1.0 / np.linalg.norm(gains, axis=1)
-    n_rows = constraints.shape[0]
+    n_blocks, n_rows = root_w.size, constraints.shape[0]
     # min ||u||^2 + ||G D^-1 u - (g - G c_hat)||^2 with D = diag(sqrt w) is the
-    # minimum-norm solution of [G D^-1, I] z = g - G c_hat. With the complete
-    # QR of that matrix's transpose, z = Q[:, :m] R^-T (g - G c_hat), and
+    # minimum-norm solution of [G D^-1, I] z = g - G c_hat. With the QR of that
+    # matrix's transpose A, z = Q[:, :m] R^-T (g - G c_hat), and
     # dc/dc_hat = D^-1 (I - X X^T) D = D^-1 Y Y^T D for the top rows X, Y of
     # Q[:, :m], Q[:, m:]: a product without cancellation where the constraints
-    # pin an estimate.
-    q, upper = np.linalg.qr(
-        np.vstack([(constraints / root_w).T, np.eye(n_rows)]), mode="complete"
+    # pin an estimate. Q is never formed but kept as Householder reflectors V in
+    # compact WY form, Q = I - V T V^T, with T^-1 = striu(V^T V) + diag(1 / tau)
+    # (Puglisi 1992). That needs every tau > 0, and here each tau lies in
+    # [1, 2]: LAPACK sets tau = 0 only for a column that is zero below its
+    # diagonal, but column i of A keeps the identity's 1 in row Q N + i, where
+    # every earlier reflector is zero. The dels below keep the peak at about
+    # two Q N x Q N arrays.
+    packed, tau = np.linalg.qr(
+        np.vstack([(constraints / root_w).T, np.eye(n_rows)]), mode="raw"
     )
-    n_blocks = root_w.size
-    x, y = q[:n_blocks, :n_rows], q[:n_blocks, n_rows:]
-    residual = problem.rhs - constraints @ estimates
-    extrapolations = estimates + x @ np.linalg.solve(upper[:n_rows].T, residual) / root_w
-    sensitivity = (y / root_w[:, None]) @ (y.T * root_w)
+    # LAPACK's layout: R on and above the diagonal, V (unit diagonal) below
+    upper = np.triu(packed.T[:n_rows])
+    reflectors = np.tril(packed.T, -1)
+    del packed
+    np.fill_diagonal(reflectors, 1.0)
+    t_inv = np.triu(reflectors.T @ reflectors, 1)
+    np.fill_diagonal(t_inv, 1.0 / tau)
+    z = np.linalg.solve(upper.T, problem.rhs - constraints @ estimates)
+    # one product V[:QN] T [V^T [z; 0], V[m:]^T]: its first column gives
+    # X z = ([z; 0] - V T V^T [z; 0])[:QN], the rest -Y = V[:QN] T V[m:]^T
+    # - I[:QN, m:], both in place
+    coupled = reflectors[:n_blocks] @ np.linalg.solve(
+        t_inv, np.column_stack([reflectors[:n_rows].T @ z, reflectors[n_rows:].T])
+    )
+    del reflectors
+    correction = -coupled[:, 0]
+    correction[: min(n_rows, n_blocks)] += z[:n_blocks]
+    extrapolations = estimates + correction / root_w
+    minus_y = coupled[:, 1:]
+    shifted = np.arange(max(n_blocks - n_rows, 0))
+    minus_y[n_rows + shifted, shifted] -= 1.0
+    sensitivity = minus_y @ minus_y.T
+    del coupled, minus_y
+    sensitivity /= root_w[:, None]
+    sensitivity *= root_w
     return MitigationResult(extrapolations.reshape(shape), gains_out, sensitivity)
 
 

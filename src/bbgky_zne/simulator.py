@@ -242,10 +242,14 @@ def shifted_error_level(s: int, eta: float, shots: int, rng: np.random.Generator
     """
     if int(shots) != shots or shots < 1:
         raise ValueError(f"shots must be a positive integer, got {shots}")
+    return error_level(s, eta) + _level_shift(shots, rng)
+
+
+def _level_shift(shots: int, rng: np.random.Generator) -> float:
+    """The clipped Gaussian shift of :func:`shifted_error_level`, unchecked."""
     width = 1.0 / math.sqrt(shots)
     shift = float(rng.normal(0.0, width))
-    shift = max(-5.0 * width, min(5.0 * width, shift))
-    return error_level(s, eta) + shift
+    return max(-5.0 * width, min(5.0 * width, shift))
 
 
 def fold_schedule(eta: float, n_steps: int) -> list[int]:
@@ -362,7 +366,13 @@ def sample_estimate(expectation, shots: int, rng: np.random.Generator):
         raise ValueError(f"expectation must lie in [-1, 1], got {expectation}")
     if int(shots) != shots or shots < 1:
         raise ValueError(f"shots must be a positive integer, got {shots}")
-    ups = rng.binomial(int(shots), 0.5 * (1.0 + np.asarray(expectation)))
+    return _binomial_estimate(np.asarray(expectation), int(shots), rng)
+
+
+def _binomial_estimate(expectation: np.ndarray, shots: int, rng: np.random.Generator):
+    """The draw of :func:`sample_estimate`, unchecked: ``expectation`` must
+    lie in [-1, 1] and ``shots`` be a positive int."""
+    ups = rng.binomial(shots, 0.5 * (1.0 + expectation))
     return 2.0 * ups / shots - 1.0
 
 
@@ -440,15 +450,15 @@ def evolve_noisy(
                 for damping in noise_pass:
                     depolarize(r, *damping)
 
-            if plan.shots is None:
-                eps[s - 1, k] = error_level(s, eta)
-            else:
-                eps[s - 1, k] = shifted_error_level(s, eta, plan.shots, rng)
             expectations = np.clip(flat[codes] * readout, -1.0, 1.0)
             if plan.shots is None:
+                eps[s - 1, k] = error_level(s, eta)
                 values[:, s - 1, k] = expectations
             else:
-                values[:, s - 1, k] = sample_estimate(expectations, plan.shots, rng)
+                # EvolutionPlan has checked shots and the clip bounds the
+                # expectations, so the draws skip the public helpers' checks
+                eps[s - 1, k] = error_level(s, eta) + _level_shift(plan.shots, rng)
+                values[:, s - 1, k] = _binomial_estimate(expectations, plan.shots, rng)
 
     # + 0.0 turns the -0.0 that a product with a -1 factor leaves into 0.0
     initial = start.reshape(-1)[codes] + 0.0

@@ -412,3 +412,30 @@ def exact_solution_operator(matrix: np.ndarray) -> list[list[Fraction]]:
                 factor = work[r][col]
                 work[r] = [v - factor * p for v, p in zip(work[r], work[col])]
     return [row[n_cols:] for row in work]
+
+
+def complete_q_solve(problem) -> tuple[np.ndarray, np.ndarray]:
+    """Constrained zero-noise estimates and the sensitivity dc/dc_hat from
+    the complete Q of the QR of ``[G D^-1, I]^T``, with D = diag(sqrt w).
+
+    The estimates are ``c_hat + D^-1 X R^-T (g - G c_hat)``, shaped (Q, N),
+    and the sensitivity is ``D^-1 Y Y^T D``, where X and Y are the top Q N
+    rows of Q[:, :m] and Q[:, m:]. This forms the complete (Q N + m)^2 Q,
+    which the library applies as reflectors instead. Requires at least one
+    nonzero constraint row.
+    """
+    from bbgky_zne.mitigation import _fit_blocks
+
+    layout = problem.layout
+    estimates, gains = _fit_blocks(problem.vander, problem.data, layout.n_steps)
+    constraints = problem.constraints
+    root_w = 1.0 / np.linalg.norm(gains, axis=1)
+    n_blocks, n_rows = root_w.size, constraints.shape[0]
+    q, upper = np.linalg.qr(
+        np.vstack([(constraints / root_w).T, np.eye(n_rows)]), mode="complete"
+    )
+    x, y = q[:n_blocks, :n_rows], q[:n_blocks, n_rows:]
+    residual = problem.rhs - constraints @ estimates
+    extrapolations = estimates + x @ np.linalg.solve(upper[:n_rows].T, residual) / root_w
+    sensitivity = (y / root_w[:, None]) @ (y.T * root_w)
+    return extrapolations.reshape(layout.n_correlators, layout.n_steps), sensitivity

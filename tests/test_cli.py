@@ -501,6 +501,31 @@ def test_mitigate_rejects_strings_beyond_the_register(simulated_run, tmp_path, c
     assert not (out / "mitigated.json").exists()
 
 
+def test_mitigate_rejects_an_equation_the_hamiltonian_does_not_give(
+    simulated_run, tmp_path, capsys
+):
+    # one coefficient moved by 1e-9 of itself, far above the 1e-12 tolerance
+    config, run = simulated_run
+    subset = json.loads((run / "subset.json").read_text())
+    term = subset["equations"][0]["terms"][0]
+    term["coeff"] *= 1.0 + 1e-9
+    edited = tmp_path / "subset.json"
+    edited.write_text(json.dumps(subset))
+    out = tmp_path / "fit"
+    code = main(
+        [
+            "mitigate",
+            "--config", str(config),
+            "--out-dir", str(out),
+            "--measurements", str(run / "measurements.json"),
+            "--subset", str(edited),
+        ]
+    )
+    assert code == 2
+    assert f"equation for {subset['equations'][0]['lhs']} differs" in capsys.readouterr().err
+    assert not (out / "mitigated.json").exists()
+
+
 def test_custom_hierarchy_seeds_flow_through(tmp_path):
     config = write_config(tmp_path, {"hierarchy": {"seeds": ["Z1"]}})
     out = tmp_path / "out"

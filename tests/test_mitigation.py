@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from dataclasses import replace
 from fractions import Fraction
 
@@ -7,7 +8,7 @@ import pytest
 
 from bbgky_zne import mitigation
 from bbgky_zne.errors import IllPosedFitError
-from bbgky_zne.hierarchy import BbgkyEquation, HierarchySubset
+from bbgky_zne.hierarchy import BbgkyEquation, HierarchySubset, select_subset
 from bbgky_zne.mitigation import (
     MitigationProblem,
     ProblemLayout,
@@ -25,10 +26,12 @@ from bbgky_zne.mitigation import (
     zne_baseline,
 )
 from bbgky_zne.pauli import ObservableCombination, PauliString
+from bbgky_zne.schwinger import SchwingerParams, build_hamiltonian, hierarchy_seeds
 from bbgky_zne.simulator import MeasurementSet
 from conftest import random_measurements, sampled_derivative
 from oracles import (
     bernstein_fit_derivative,
+    complete_q_solve,
     exact_solution_operator,
     normal_equation_solve,
     paper_form_solve,
@@ -486,6 +489,60 @@ def test_solve_does_not_depend_on_constraint_memory_order(rng):
     ours, theirs = solve(problem), solve(c_ordered)
     assert ours.extrapolations.tobytes() == theirs.extrapolations.tobytes()
     assert ours.sensitivity.tobytes() == theirs.sensitivity.tobytes()
+
+
+@pytest.mark.parametrize("g_weight", [1.0, 1e-8])
+@pytest.mark.parametrize(
+    "n_correlators,n_steps,n_equations",
+    [(4, 5, 2), (5, 4, 4), (1, 2, 1)],
+    ids=["m<QN", "m=QN", "m>QN"],
+)
+def test_solve_matches_complete_q_oracle(rng, n_correlators, n_steps, n_equations, g_weight):
+    # m = n_equations * (n_steps + 1) constraint rows against Q N estimates;
+    # m > Q N is the pinned case. The correction cancels against c_hat, so
+    # both solves round at the scale of the plain estimates, and the
+    # sensitivity D^-1 Y Y^T D is compared as Y Y^T, whose entries are <= 1.
+    for _ in range(5):
+        ms = random_measurements(rng, n_correlators, n_steps, shots=2048)
+        equations = tuple(
+            BbgkyEquation(
+                ms.correlators[e],
+                tuple((float(rng.normal()), string) for string in ms.correlators),
+            )
+            for e in range(n_equations)
+        )
+        subset = HierarchySubset(equations, ms.correlators, n_correlators, 0)
+        problem = assemble(ms, subset, 2, 0.3, g_weight)
+        assert problem.constraints.shape == (n_equations * (n_steps + 1), n_correlators * n_steps)
+        ours = solve(problem)
+        extrapolations, sensitivity = complete_q_solve(problem)
+        plain = zne_baseline(ms, 2)
+        scale = max(np.abs(plain).max(), np.abs(extrapolations).max())
+        assert np.abs(ours.extrapolations - extrapolations).max() <= 1e-12 * scale
+        root_w = 1.0 / np.linalg.norm(ours.gains.reshape(-1, ms.n_levels), axis=1)
+        unscaled = (ours.sensitivity - sensitivity) * root_w[:, None] / root_w
+        assert np.abs(unscaled).max() <= 1e-12
+
+
+def test_solve_memory_at_the_n6_r1_shape():
+    # the Schwinger n=6, radius-1 fit: Q N = 74 * 20 = 1480 estimates and
+    # m = 16 * 21 = 336 constraint rows. The result holds one Q N x Q N
+    # sensitivity; the solve may peak at three such arrays.
+    ham = build_hamiltonian(SchwingerParams(n_qubits=6, mass_ratio=0.5, volume=30.0, l0=0.5))
+    subset = select_subset(ham, hierarchy_seeds(6), 1)
+    rng = np.random.default_rng(5)
+    base = random_measurements(rng, subset.n_correlators, 20, shots=10240)
+    ms = MeasurementSet(subset.correlators, base.values, base.eps, base.initial, base.shots)
+    problem = assemble(ms, subset, 2, 0.2)
+    n_blocks = problem.constraints.shape[1]
+    assert (n_blocks, problem.constraints.shape[0]) == (1480, 336)
+    tracemalloc.start()
+    try:
+        solve(problem)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3 * 8 * n_blocks**2
 
 
 def test_solve_rejects_too_few_distinct_levels():
