@@ -27,6 +27,8 @@ import numpy as np
 from .hierarchy import SpinHamiltonian, select_subset
 from .mitigation import (
     MitigationOutput,
+    ProblemLayout,
+    check_solve_size,
     error_norm,
     observable_covariance,
     observable_series,
@@ -200,6 +202,12 @@ def run_cell(
     state = default_initial_state(n) if initial_state is None else initial_state
     ham = build_hamiltonian(params)
     subset = select_subset(ham, hierarchy_seeds(n), radius)
+    # fail before the simulation when the constrained fit cannot be afforded
+    check_solve_size(
+        ProblemLayout(
+            subset.n_correlators, plan.n_steps, len(plan.fold_levels), degree, subset.n_equations
+        )
+    )
     measurements = evolve_noisy(ham, state, plan, noise, subset.correlators)
 
     observables = tracked_observables(n)

@@ -13,14 +13,20 @@ depolarizing channel, applied after every factor, is diagonal:
 it damps each string that touches its sites. An optional readout bit-flip is
 folded into each measured expectation.
 
-Each :func:`evolve_noisy` call allocates one state buffer and reuses it for
-every fold level. Before the first step it builds each factor's
-``(cos, sin)`` and the flipped view of that buffer, and one
-:func:`damping_tensor` per distinct (support, rate). :func:`depolarize`
-changes the state it is given in place, as one product with that tensor.
-When the tensors would exceed :data:`DAMPING_TENSOR_BYTES`, each channel
-instead scales the whole state and restores the strings it spares. Both
-forms give the same floats. Nothing the call builds outlives it.
+The fold levels of one :func:`evolve_noisy` call share their unitary part,
+so the call advances them in groups: one buffer holds the states of a group
+of levels (:data:`LEVEL_GROUP_BYTES` sets its size from the state's byte
+size), and is reset for each group. Before the first step the call builds
+each factor's ``(cos, sin)`` and flip, and one :func:`damping_tensor` per
+distinct (support, rate); per group it builds each factor's flipped view of
+the buffer, so that three in-place operations rotate every state of the
+group. Each level then gets its own channels, noise-only passes and draws,
+in the order a lone level would, so the outputs do not depend on the group
+size. :func:`depolarize` changes the state it is given in place, as one
+product with that tensor. When the tensors would exceed
+:data:`DAMPING_TENSOR_BYTES`, each channel instead scales the whole state
+and restores the strings it spares. Both forms give the same floats.
+Nothing the call builds outlives it.
 
 Noise amplification follows the unitary-folding picture at fractional
 levels eta: after step s the cumulative number of inserted identity pairs
@@ -60,6 +66,14 @@ EXACT_MAX_QUBITS = 10
 #: they outgrow a core's cache, and reading a tensor per channel costs more
 #: than scaling the whole state and restoring the strings the channel spares.
 DAMPING_TENSOR_BYTES = 2**21
+#: bytes of state and partner buffers one :func:`evolve_noisy` call may hold
+#: to advance fold levels together. The group size is the largest count of
+#: levels whose two buffers of ``8 * 4**n`` bytes each fit, and at least one:
+#: up to 32 levels at n = 4, 8 at n = 5, 2 at n = 6 and 1 from n = 7 on.
+#: Rotating a group at once amortizes the per-call overhead that dominates
+#: small registers; at n = 8 two or four levels at once made the call 9-18 %
+#: slower, and at n = 6 four levels exceed the call's memory budget.
+LEVEL_GROUP_BYTES = 2**17
 
 
 @dataclass(frozen=True)
@@ -284,6 +298,10 @@ def trotter_factors(ham: SpinHamiltonian, dt: float, order: int = 1) -> tuple[Tr
     return tuple(half + half[::-1])
 
 
+# one object each for all flips, which an evolve_noisy call keeps per factor
+_WHOLE, _REVERSED = slice(None), slice(None, None, -1)
+
+
 def factor_rotation(factor: TrotterFactor, n_qubits: int) -> tuple[np.ndarray, np.ndarray, tuple]:
     """``(cos, sin, flip)`` such that the factor maps the ``(2,) * 2n`` bit
     view r of the state (two bits per site, site 1 first) to
@@ -310,8 +328,7 @@ def factor_rotation(factor: TrotterFactor, n_qubits: int) -> tuple[np.ndarray, n
         shape[2 * site - 2 : 2 * site] = (2, 2)
     p = code(factor.string, n_qubits)
     flip = tuple(
-        slice(None, None, -1) if p >> (2 * n_qubits - 1 - axis) & 1 else slice(None)
-        for axis in range(2 * n_qubits)
+        _REVERSED if p >> (2 * n_qubits - 1 - axis) & 1 else _WHOLE for axis in range(2 * n_qubits)
     )
     return cos.reshape(shape), sin.reshape(shape), flip
 
@@ -390,6 +407,12 @@ def evolve_noisy(
     after each step every correlator is estimated. The draw order per step is
     fixed (level shift first, then correlators in order) so runs are
     reproducible regardless of the consumer.
+
+    Fold levels differ only in their noise-only passes and their draws, so a
+    group of them (sized by :data:`LEVEL_GROUP_BYTES`) is advanced together:
+    one rotation per factor for every state of the group, then each level's
+    own channels, passes and draws. Each level sees the same floating-point
+    operations whatever the group size.
     """
     n = ham.n_qubits
     if n > NOISY_MAX_QUBITS:
@@ -401,67 +424,85 @@ def evolve_noisy(
         raise ValueError("at least one correlator is required")
     codes = np.array([code(c, n) for c in correlators])
     basis = parse_basis_label(initial_state, n)
-    start = reduce(np.multiply.outer, [np.array([1.0, 0.0, 0.0, 1.0 - 2.0 * b]) for b in basis])
+    site_states = [np.array([1.0, 0.0, 0.0, 1.0 - 2.0 * b]) for b in basis]
+    # + 0.0 turns the -0.0 that a product with a -1 factor leaves into 0.0
+    initial = reduce(np.multiply.outer, site_states).reshape(-1)[codes] + 0.0
     bit_shape = (2,) * (2 * n)
 
     n_corr, n_steps, n_levels = len(correlators), plan.n_steps, len(plan.fold_levels)
     values = np.empty((n_corr, n_steps, n_levels))
     eps = np.empty((n_steps, n_levels))
-    # one state buffer, reset for each fold level, so the views below are
-    # built once per call
-    r = np.empty_like(start)
-    bits = r.reshape(bit_shape)
-    flat = r.reshape(-1)
-    partner = np.empty(bit_shape)
+    # one buffer of `group` states, reset for each group of fold levels, and
+    # its partner buffer
+    state_bytes = 8 * 4**n
+    group = max(1, min(n_levels, LEVEL_GROUP_BYTES // (2 * state_bytes)))
+    states = np.empty((group,) + (4,) * n)
+    partners = np.empty((group,) + bit_shape)
 
     factors = trotter_factors(ham, plan.dt, plan.trotter_order)
+    rotations = [factor_rotation(factor, n) for factor in factors]
     supports = [f.string.sites for f in factors]
     rates = [noise.depol_1q if len(sites) == 1 else noise.depol_2q for sites in supports]
-    noisy = {key for key in zip(supports, rates) if key[1]}
-    if len(noisy) * r.nbytes <= DAMPING_TENSOR_BYTES:
-        channels = {key: (damping_tensor(*key, n),) for key in noisy}
+    keys = list(zip(supports, rates))
+    noisy = {key for key in keys if key[1]}
+    # channels[j][key]: the arguments of depolarize for the j-th state
+    if len(noisy) * state_bytes <= DAMPING_TENSOR_BYTES:
+        tensors = {key: damping_tensor(*key, n) for key in noisy}
+        channels = [{key: (r, tensors[key]) for key in noisy} for r in states]
     else:
-        channels, saved = {}, {}
-        for sites, p in noisy:
-            kept = r[_untouched(sites, n)]
-            buffer = saved.setdefault(len(sites), np.empty_like(kept))
-            channels[sites, p] = (1.0 - p, kept, buffer)
-    dampings = [channels.get(key) for key in zip(supports, rates)]
-    steps = []
-    for factor, damping in zip(factors, dampings):
-        cos, sin, flip = factor_rotation(factor, n)
-        steps.append((cos, sin, bits[flip], damping))
-    noise_pass = [damping for damping in dampings if damping is not None]
+        channels, saved = [{} for _ in states], {}
+        for r, channel in zip(states, channels):
+            for sites, p in noisy:
+                kept = r[_untouched(sites, n)]
+                buffer = saved.setdefault(len(sites), np.empty_like(kept))
+                channel[sites, p] = (r, 1.0 - p, kept, buffer)
+    noise_passes = [[channel[key] for key in keys if key in noisy] for channel in channels]
     readout = np.array([(1.0 - 2.0 * noise.readout_flip) ** len(c) for c in correlators])
 
-    for k, eta in enumerate(plan.fold_levels):
-        rng = np.random.default_rng([plan.rng_seed, k])
-        np.copyto(r, start)
-        for s, pairs in enumerate(fold_schedule(eta, n_steps), start=1):
-            for cos, sin, flipped, damping in steps:
-                # in place on the bit view of r: the partners are read out
-                # before any entry changes
+    for first in range(0, n_levels, group):
+        levels = range(first, min(first + group, n_levels))
+        size = len(levels)
+        bits = states[:size].reshape((size,) + bit_shape)
+        flat = states[:size].reshape(size, -1)
+        partner = partners[:size]
+        steps = [
+            (
+                cos,
+                sin,
+                bits[(_WHOLE,) + flip],
+                [channel[key] for channel in channels[:size]] if key in noisy else [],
+            )
+            for (cos, sin, flip), key in zip(rotations, keys)
+        ]
+        rngs = [np.random.default_rng([plan.rng_seed, k]) for k in levels]
+        schedules = [fold_schedule(plan.fold_levels[k], n_steps) for k in levels]
+        # the basis state, rebuilt for each group: held beside the buffer, it
+        # would add a state to the peak
+        states[:size] = reduce(np.multiply.outer, site_states)
+        for s in range(1, n_steps + 1):
+            for cos, sin, flipped, after in steps:
+                # in place on the bit view of every state of the group: the
+                # partners are read out before any entry changes
                 np.multiply(sin, flipped, out=partner)
                 bits *= cos
                 bits += partner
-                if damping is not None:
-                    depolarize(r, *damping)
-            for _ in range(2 * pairs):
-                for damping in noise_pass:
-                    depolarize(r, *damping)
+                for damping in after:
+                    depolarize(*damping)
+            for j, k in enumerate(levels):
+                for _ in range(2 * schedules[j][s - 1]):
+                    for damping in noise_passes[j]:
+                        depolarize(*damping)
+                expectations = np.clip(flat[j, codes] * readout, -1.0, 1.0)
+                level = error_level(s, plan.fold_levels[k])
+                if plan.shots is None:
+                    eps[s - 1, k] = level
+                    values[:, s - 1, k] = expectations
+                else:
+                    # EvolutionPlan has checked shots and the clip bounds the
+                    # expectations, so the draws skip the public helpers' checks
+                    eps[s - 1, k] = level + _level_shift(plan.shots, rngs[j])
+                    values[:, s - 1, k] = _binomial_estimate(expectations, plan.shots, rngs[j])
 
-            expectations = np.clip(flat[codes] * readout, -1.0, 1.0)
-            if plan.shots is None:
-                eps[s - 1, k] = error_level(s, eta)
-                values[:, s - 1, k] = expectations
-            else:
-                # EvolutionPlan has checked shots and the clip bounds the
-                # expectations, so the draws skip the public helpers' checks
-                eps[s - 1, k] = error_level(s, eta) + _level_shift(plan.shots, rng)
-                values[:, s - 1, k] = _binomial_estimate(expectations, plan.shots, rng)
-
-    # + 0.0 turns the -0.0 that a product with a -1 factor leaves into 0.0
-    initial = start.reshape(-1)[codes] + 0.0
     return MeasurementSet(correlators, values, eps, initial, plan.shots)
 
 

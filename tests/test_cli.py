@@ -1,5 +1,6 @@
 import hashlib
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -292,6 +293,46 @@ def test_oversized_system_exits_3(tmp_path, capsys):
     out = tmp_path / "big"
     assert main(["simulate", "--config", str(config), "--out-dir", str(out)]) == 3
     assert "resource" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["scan", "mitigate"])
+def test_unaffordable_mitigation_exits_3_before_the_solve(tmp_path, capsys, command):
+    """At n = 8, r = 2 and 20 steps the constrained fit needs 4 GiB; both
+    commands stop before building any of it."""
+    overrides = {
+        "schwinger": {"n_qubits": 8},
+        "initial_state": "01" * 4,
+        "plan": {"n_steps": 20},
+        "mitigation": {"radius": 2},
+    }
+    config_path = write_config(tmp_path, overrides)
+    argv = [command, "--config", str(config_path), "--out-dir", str(tmp_path / "out")]
+    if command == "mitigate":
+        config = load_config(config_path)
+        _, subset = cli._subset_for(config)
+        n_steps, n_levels = config.plan.n_steps, len(config.plan.fold_levels)
+        eps = np.broadcast_to(1.0 + 2.0 * np.arange(n_levels), (n_steps, n_levels))
+        measurements = MeasurementSet(
+            subset.correlators,
+            np.zeros((subset.n_correlators, n_steps, n_levels)),
+            eps,
+            np.zeros(subset.n_correlators),
+            config.plan.shots,
+        )
+        (tmp_path / "measurements.json").write_text(json.dumps(measurements.to_dict()))
+        (tmp_path / "subset.json").write_text(json.dumps(subset.to_dict()))
+        argv += ["--measurements", str(tmp_path / "measurements.json")]
+        argv += ["--subset", str(tmp_path / "subset.json")]
+    tracemalloc.start()
+    try:
+        code = main(argv)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert code == 3
+    assert "resource limit" in capsys.readouterr().err
+    assert peak < 2**26
+    assert not (tmp_path / "out").exists()
 
 
 def test_degenerate_levels_exit_4(tmp_path, capsys):

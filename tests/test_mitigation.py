@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from bbgky_zne import mitigation
-from bbgky_zne.errors import IllPosedFitError
+from bbgky_zne.errors import IllPosedFitError, ResourceLimitError
 from bbgky_zne.hierarchy import BbgkyEquation, HierarchySubset, select_subset
 from bbgky_zne.mitigation import (
     MitigationProblem,
@@ -15,6 +15,7 @@ from bbgky_zne.mitigation import (
     assemble,
     bernstein_deriv_weight,
     bernstein_value,
+    check_solve_size,
     error_norm,
     extrapolation_covariance,
     measurement_variances,
@@ -543,6 +544,45 @@ def test_solve_memory_at_the_n6_r1_shape():
     finally:
         tracemalloc.stop()
     assert peak <= 3 * 8 * n_blocks**2
+
+
+@pytest.mark.parametrize("constrained", [True, False])
+def test_solve_bytes_estimate_the_traced_peak_of_run_mitigation(constrained):
+    # the Schwinger n=4, radius-1 fit: Q N = 32 * 20 = 640, m = 10 * 21 = 210
+    ham = build_hamiltonian(SchwingerParams(n_qubits=4, mass_ratio=0.5, volume=30.0, l0=0.5))
+    subset = select_subset(ham, hierarchy_seeds(4), 1)
+    base = random_measurements(np.random.default_rng(5), subset.n_correlators, 20, shots=10240)
+    ms = MeasurementSet(subset.correlators, base.values, base.eps, base.initial, base.shots)
+    subset = subset if constrained else None
+    n_equations = subset.n_equations if constrained else 0
+    layout = ProblemLayout(ms.n_correlators, ms.n_steps, ms.n_levels, 2, n_equations)
+    tracemalloc.start()
+    try:
+        run_mitigation(ms, subset, 2, 0.2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert 0.9 <= peak / layout.solve_bytes <= 1.1
+
+
+def test_solve_size_cap_admits_n6_r2_and_refuses_n8_r2(monkeypatch):
+    monkeypatch.setattr(mitigation, "assemble", lambda *args: pytest.fail("problem assembled"))
+    for n, radius, fits in ((6, 2, True), (8, 2, False)):
+        ham = build_hamiltonian(SchwingerParams(n_qubits=n, l0=0.4, mass_ratio=0.3))
+        subset = select_subset(ham, hierarchy_seeds(n), radius)
+        layout = ProblemLayout(subset.n_correlators, 20, 4, 2, subset.n_equations)
+        if fits:
+            check_solve_size(layout)
+            continue
+        with pytest.raises(ResourceLimitError, match="GiB"):
+            check_solve_size(layout)
+        shape = (subset.n_correlators, 20, 4)
+        eps = np.broadcast_to(1.0 + 2.0 * np.arange(4), shape[1:])
+        ms = MeasurementSet(
+            subset.correlators, np.zeros(shape), eps, np.zeros(shape[0]), 10240
+        )
+        with pytest.raises(ResourceLimitError):
+            run_mitigation(ms, subset, 2, 0.2)
 
 
 def test_solve_rejects_too_few_distinct_levels():

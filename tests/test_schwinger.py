@@ -1,10 +1,12 @@
+import tracemalloc
 from dataclasses import replace
 from functools import reduce
 
 import numpy as np
 import pytest
 
-from bbgky_zne.errors import IllPosedFitError
+from bbgky_zne import schwinger
+from bbgky_zne.errors import IllPosedFitError, ResourceLimitError
 from bbgky_zne.mitigation import run_mitigation
 from bbgky_zne.pauli import PauliString, dense_pauli
 from bbgky_zne.schwinger import (
@@ -189,3 +191,18 @@ def test_run_cell_rejects_too_few_distinct_levels():
         run_cell(SchwingerParams(2), plan, MILD_NOISE, 0, 3)
     with pytest.raises(IllPosedFitError):
         run_scan([0.0], [0.0], SchwingerParams(2), plan, MILD_NOISE, 0, 3, 1)
+
+
+def test_run_cell_refuses_an_unaffordable_fit_before_simulating(monkeypatch):
+    """n = 8, r = 2 at 20 steps needs 4 GiB for the constrained fit; the
+    cell fails before the noisy simulation and allocates next to nothing."""
+    monkeypatch.setattr(schwinger, "evolve_noisy", lambda *args: pytest.fail("simulated"))
+    plan = EvolutionPlan(20, 4.0, 1, (0.0, 1.0, 1.5, 2.0), 10240, 1)
+    tracemalloc.start()
+    try:
+        with pytest.raises(ResourceLimitError, match="GiB"):
+            run_cell(SchwingerParams(8, 0.3, 30.0, 0.4), plan, MILD_NOISE, 2, 2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**26

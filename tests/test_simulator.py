@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+from dataclasses import replace
 from functools import reduce
 
 import numpy as np
@@ -319,10 +320,51 @@ def test_scaled_and_restored_channels_match_damping_tensors(monkeypatch, rng, sh
     np.testing.assert_array_equal(restored.eps, tensors.eps)
 
 
+@pytest.mark.parametrize("tensor_bytes", [simulator.DAMPING_TENSOR_BYTES, 0])
+@pytest.mark.parametrize("shots", [None, 256])
+@pytest.mark.parametrize("order", [1, 2])
+def test_fold_level_groups_give_identical_outputs(monkeypatch, rng, order, shots, tensor_bytes):
+    """One level at a time, two at a time (the third level alone in a short
+    last group) and all three at once give the same bytes, with damping
+    tensors and with scaled-and-restored channels. Levels 0.5 and 1.5 insert
+    their identity pairs after different steps."""
+    n = 3
+    ham = random_hamiltonian(rng, n)
+    plan = EvolutionPlan(6, 1.2, order, (0.0, 0.5, 1.5), shots, 9)
+    noise = NoiseModel(0.02, 0.05, 0.01)
+    correlators = tuple(PauliString.parse(t) for t in ("Z1", "X1 Y2", "Y2 Z3", "X3"))
+    monkeypatch.setattr(simulator, "DAMPING_TENSOR_BYTES", tensor_bytes)
+    runs = []
+    for group in (1, 2, 3):
+        monkeypatch.setattr(simulator, "LEVEL_GROUP_BYTES", group * 2 * 8 * 4**n)
+        runs.append(evolve_noisy(ham, "011", plan, noise, correlators))
+    for other in runs[1:]:
+        assert other.values.tobytes() == runs[0].values.tobytes()
+        assert other.eps.tobytes() == runs[0].eps.tobytes()
+        assert other.initial.tobytes() == runs[0].initial.tobytes()
+
+
+def test_level_zero_does_not_depend_on_the_other_levels(rng):
+    """All four levels advance in one group here; the first column equals
+    the run of level 0 alone."""
+    ham = random_hamiltonian(rng, 3)
+    noise = NoiseModel(0.02, 0.05, 0.01)
+    correlators = tuple(PauliString.parse(t) for t in ("Z1", "X1 Y2", "Z2 Z3"))
+    plan = EvolutionPlan(5, 1.0, 1, (0.0, 0.5, 1.0, 2.0), 512, 4)
+    assert 4 * 2 * 8 * 4**3 <= simulator.LEVEL_GROUP_BYTES
+    four = evolve_noisy(ham, "010", plan, noise, correlators)
+    one = evolve_noisy(ham, "010", replace(plan, fold_levels=(0.0,)), noise, correlators)
+    assert four.values[:, :, :1].tobytes() == one.values.tobytes()
+    assert four.eps[:, :1].tobytes() == one.eps.tobytes()
+    assert four.initial.tobytes() == one.initial.tobytes()
+
+
 def test_evolve_noisy_memory_stays_within_its_budget():
-    """At n = 6, r = 1 the call holds the state, its partner buffer, the
-    initial state, one damping tensor per noisy support and the values; its
-    traced peak stays below (supports + 12) states plus the values."""
+    """At n = 6, r = 1 the call advances two fold levels at a time: it holds
+    their two states, their partner buffers, one damping tensor per noisy
+    support and the values, and numpy's iteration buffers take up to four
+    more states during a rotation. Its traced peak stays below
+    (supports + 12) states plus the values."""
     n = 6
     ham = build_hamiltonian(SchwingerParams(n_qubits=n, l0=0.4, mass_ratio=0.3))
     correlators = select_subset(ham, hierarchy_seeds(n), 1).correlators

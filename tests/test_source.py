@@ -123,3 +123,51 @@ def test_unreferenced_private_function_detector():
 def test_every_private_function_is_referenced():
     sources = {path.name: path.read_text() for path in sorted(PACKAGE.glob("*.py"))}
     assert unreferenced_private_functions(sources) == []
+
+
+def environment_reads(source: str) -> list[str]:
+    """Reads of the process environment in ``source``: ``os.environ``,
+    ``os.environb``, ``os.getenv`` and ``os.getenvb``, through ``os`` or an
+    alias of it, or imported by name from ``os``."""
+    names = {"environ", "environb", "getenv", "getenvb"}
+    tree = ast.parse(source)
+    modules = {"os"} | {
+        alias.asname
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Import)
+        for alias in node.names
+        if alias.name == "os" and alias.asname
+    }
+    found = []
+    for node in ast.walk(tree):
+        if (
+            isinstance(node, ast.Attribute)
+            and node.attr in names
+            and isinstance(node.value, ast.Name)
+            and node.value.id in modules
+        ):
+            found.append((node.lineno, f"{node.value.id}.{node.attr}"))
+        elif isinstance(node, ast.ImportFrom) and node.module == "os":
+            found += [(node.lineno, f"os.{a.name}") for a in node.names if a.name in names]
+    return [f"{name} (line {line})" for line, name in sorted(found)]
+
+
+def test_environment_read_detector():
+    source = (
+        "import os\nimport os as system\nfrom os import getenv, path\n"
+        "a = os.environ['HOME']\nb = system.getenv('X')\nc = os.path.join('a')\n"
+        "def f():\n    return os.environb.get(b'Y')\nd = environ = 1\n"
+    )
+    assert environment_reads(source) == [
+        "os.getenv (line 3)", "os.environ (line 4)", "system.getenv (line 5)",
+        "os.environb (line 8)",
+    ]
+
+
+def test_package_reads_no_environment_variables():
+    """Every setting comes from the config file or the command line, so a
+    rerun with the same inputs gives the same bytes in any environment."""
+    found = {
+        path.name: environment_reads(path.read_text()) for path in sorted(PACKAGE.glob("*.py"))
+    }
+    assert {name: reads for name, reads in found.items() if reads} == {}
