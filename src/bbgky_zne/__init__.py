@@ -34,7 +34,7 @@ from .mitigation import (
     solve,
     zne_baseline,
 )
-from .pauli import ObservableCombination, PauliString, all_strings, dense_pauli
+from .pauli import ObservableCombination, PauliString, all_strings
 from .schwinger import (
     CellOutcome,
     ScanGrid,
@@ -90,7 +90,6 @@ __all__ = [
     "charge_observable",
     "decompose",
     "default_initial_state",
-    "dense_pauli",
     "derive_equation",
     "downstream",
     "error_level",

@@ -6,7 +6,6 @@ Subcommands::
     simulate    run the noisy simulation and write the measurement files
     mitigate    consume measurement + subset files, write mitigated series
     scan        sweep an (l0, m/g) grid end to end
-    verify      run the built-in consistency checks
 
 Exit codes: 0 success, 2 configuration/validation error, 3 resource-limit
 error, 4 numerical failure. All runs with the same seed and inputs produce
@@ -22,7 +21,6 @@ from pathlib import Path
 
 import numpy as np
 
-from . import verify as verify_checks
 from .config import ExperimentConfig, load_config
 from .errors import ConfigError, IllPosedFitError, ResourceLimitError
 from .hierarchy import (
@@ -274,17 +272,12 @@ def build_parser() -> argparse.ArgumentParser:
                 default=None,
                 help="write the assembled matrix and target to an .npz file",
             )
-
-    p = sub.add_parser("verify")
-    p.add_argument("--seed", type=int, default=0)
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        if args.command == "verify":
-            return 0 if verify_checks.run_all(args.seed) else 4
         config = load_config(
             args.config,
             seed=args.seed,

@@ -30,7 +30,7 @@ import numpy as np
 
 from .errors import ResourceLimitError
 from .jsonio import require_keys, require_type
-from .pauli import PauliString, anticommute, code, decode, dense_pauli, multiply
+from .pauli import PauliString, anticommute, code, decode, multiply
 
 #: equation coefficients with magnitude below this are dropped
 COEFF_TOL = 1e-12
@@ -118,13 +118,6 @@ class SpinHamiltonian:
             for i, j, mu, nu in np.argwhere(self.V)
         ]
         return tuple(fields + couplings)
-
-    def dense(self) -> np.ndarray:
-        dim = 2**self.n_qubits
-        out = np.zeros((dim, dim), dtype=complex)
-        for string, c in self.terms:
-            out += c * dense_pauli(string, self.n_qubits)
-        return out
 
     @cached_property
     def edges(self) -> tuple[tuple[int, float], ...]:

@@ -4,10 +4,9 @@ Conventions used everywhere:
 
 * Sites are numbered ``1 .. n_qubits``. Axis indices 1, 2, 3 mean the
   Pauli X, Y, Z matrices.
-* In dense matrices site 1 is the leftmost (most significant) tensor
-  factor, and ``sigma^3 |0> = +|0>``.
 * A computational-basis label such as ``"0101"`` lists sites left to
-  right, so its first character belongs to site 1.
+  right, so its first character belongs to site 1, the most significant
+  bit of the basis state's integer, and ``sigma^3 |0> = +|0>``.
 * The text token for a string lists one ``<letter><site>`` item per
   factor in ascending site order, e.g. ``"X1 Z3"``; the identity is
   written ``"I"``.
@@ -19,7 +18,8 @@ Conventions used everywhere:
 * :func:`multiply` on codes is the one Pauli product of the package: the
   hierarchy's equations and components and the simulator's Trotter
   rotations all read their phases from it, or from :func:`anticommute`,
-  its parity.
+  its parity. The exact reference acts with the same per-site rule on
+  basis states.
 """
 
 from __future__ import annotations
@@ -28,17 +28,8 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterator, Mapping
 
-import numpy as np
-
 AXIS_TO_LETTER = {1: "X", 2: "Y", 3: "Z"}
 LETTER_TO_AXIS = {"X": 1, "Y": 2, "Z": 3}
-
-PAULI_2X2 = {
-    0: np.eye(2, dtype=complex),
-    1: np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex),
-    2: np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex),
-    3: np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex),
-}
 
 
 @dataclass(frozen=True)
@@ -119,19 +110,6 @@ class PauliString:
 
     def __str__(self) -> str:
         return self.token()
-
-
-def dense_pauli(string: PauliString, n_qubits: int) -> np.ndarray:
-    """Dense matrix of a Pauli string, site 1 as the leftmost factor."""
-    if string.max_site() > n_qubits:
-        raise ValueError(
-            f"string {string.token()!r} does not fit on {n_qubits} qubits"
-        )
-    axes = dict(string.factors)
-    out = np.array([[1.0 + 0.0j]])
-    for site in range(1, n_qubits + 1):
-        out = np.kron(out, PAULI_2X2[axes.get(site, 0)])
-    return out
 
 
 def all_strings(n_qubits: int, include_identity: bool = True) -> Iterator[PauliString]:
@@ -238,13 +216,6 @@ class ObservableCombination:
     @property
     def strings(self) -> tuple[PauliString, ...]:
         return tuple(s for _, s in self.terms)
-
-    def dense(self, n_qubits: int) -> np.ndarray:
-        dim = 2**n_qubits
-        out = self.constant_offset * np.eye(dim, dtype=complex)
-        for weight, string in self.terms:
-            out += weight * dense_pauli(string, n_qubits)
-        return out
 
     def evaluate(self, values: Mapping[PauliString, float]) -> float:
         return self.constant_offset + sum(w * values[s] for w, s in self.terms)

@@ -41,6 +41,17 @@ coinciding levels remain distinguishable to a polynomial fit.
 
 ``shots=None`` selects infinite-shot mode: binomial sampling and the level
 shift are both bypassed and exact noisy expectations are returned.
+
+The noise-free reference, :func:`evolve_exact`, never builds a 2^n x 2^n
+matrix. A term ``c P`` maps basis state b to ``b ^ x(P)`` with the phase
+``1j**|Y| (-1)**|b & z(P)|``, where x = hi ^ lo and z = hi are the bit masks
+of P's code (site 1 the most significant bit). Starting from the initial
+basis state, the call grows the set of basis states that H's nonzero matrix
+elements reach, summing all terms that reach the same state before testing
+the sum for zero, and diagonalizes H on that sector only: the charge sector
+of C(n, n/2) states for a Schwinger chain, the whole space for a generic H.
+:data:`EXACT_MAX_STATES` caps the sector while it grows. The dense 2^n x 2^n
+form is a test oracle only.
 """
 
 from __future__ import annotations
@@ -60,8 +71,10 @@ from .pauli import ObservableCombination, PauliString, code, multiply, parse_bas
 
 #: qubit cap of the noisy simulation, whose state holds 4^n reals
 NOISY_MAX_QUBITS = 8
-#: qubit cap of the dense 2^n x 2^n eigenbasis of the exact reference
-EXACT_MAX_QUBITS = 10
+#: basis states of the largest sector :func:`evolve_exact` diagonalizes:
+#: 2^10, the dimension of a dense 10-qubit eigenbasis, so that no input needs
+#: more. A Schwinger chain's sector holds C(n, n/2) states (924 at n = 12).
+EXACT_MAX_STATES = 2**10
 #: bytes of damping tensors one :func:`evolve_noisy` call may hold. Past it
 #: they outgrow a core's cache, and reading a tensor per channel costs more
 #: than scaling the whole state and restoring the strings the channel spares.
@@ -512,31 +525,102 @@ def evolve_exact(
     times: Sequence[float],
     observables: Sequence[ObservableCombination | PauliString],
 ) -> np.ndarray:
-    """Noise-free reference expectations via exact diagonalization.
+    """Noise-free reference expectations via exact diagonalization in the
+    sector of basis states that H reaches from the initial basis state.
 
     Returns an array indexed ``[observable, time]``. Bare Pauli strings are
-    accepted and treated as weight-1 combinations.
+    accepted and treated as weight-1 combinations. Raises
+    :class:`ResourceLimitError` while the sector grows past
+    :data:`EXACT_MAX_STATES` states, before any matrix is built.
     """
     n = ham.n_qubits
-    if n > EXACT_MAX_QUBITS:
-        raise ResourceLimitError(
-            f"evolve_exact is capped at {EXACT_MAX_QUBITS} qubits, got {n}"
-        )
-    bits = parse_basis_label(initial_state, n)
+    if n > 63:
+        # basis states are int64 bit masks
+        raise ResourceLimitError(f"evolve_exact holds basis states in 63 bits, got {n} qubits")
+    start = int("".join(map(str, parse_basis_label(initial_state, n))), 2)
     combos = [
         obs if isinstance(obs, ObservableCombination) else ObservableCombination(0.0, ((1.0, obs),))
         for obs in observables
     ]
-    matrices = [combo.dense(n) for combo in combos]
 
-    energies, modes = np.linalg.eigh(ham.dense())
-    psi0 = np.zeros(2**n, dtype=complex)
-    psi0[int("".join(str(b) for b in bits), 2)] = 1.0
-    coeffs = modes.conj().T @ psi0
+    # the terms sorted by flip mask, so that one reduceat sums, per source
+    # state and flip, all terms' contributions before any is tested for zero:
+    # XX and YY on a pair cancel exactly between |00> and |11>
+    flip, sign_mask, phase = _basis_action([string for string, _ in ham.terms], n)
+    order = np.argsort(flip, kind="stable")
+    coeffs = (phase * [c for _, c in ham.terms])[order]
+    flips, starts = np.unique(flip[order], return_index=True)
+    sign_mask = sign_mask[order]
 
-    out = np.empty((len(combos), len(times)))
-    for t_index, t in enumerate(times):
-        psi = modes @ (np.exp(-1j * energies * t) * coeffs)
-        for o_index, matrix in enumerate(matrices):
-            out[o_index, t_index] = float(np.vdot(psi, matrix @ psi).real)
-    return out
+    states = frontier = np.array([start])
+    links = []
+    while frontier.size:
+        odd = np.bitwise_count(frontier[:, None] & sign_mask) & 1
+        amplitudes = np.add.reduceat(np.where(odd, -coeffs, coeffs), starts, axis=1)
+        source, which = np.nonzero(amplitudes)
+        sources = frontier[source]
+        targets = sources ^ flips[which]
+        links.append((sources, targets, amplitudes[source, which]))
+        # states stays sorted, so a binary search finds the reached ones
+        reached = np.unique(targets)
+        known = states[np.minimum(np.searchsorted(states, reached), states.size - 1)]
+        frontier = reached[known != reached]
+        if states.size + frontier.size > EXACT_MAX_STATES:
+            raise ResourceLimitError(
+                f"evolve_exact is capped at {EXACT_MAX_STATES} basis states, and the "
+                f"sector of {initial_state!r} reached {states.size + frontier.size}"
+            )
+        states = np.sort(np.concatenate((states, frontier)))
+
+    d = states.size
+    sources, targets, amplitudes = (np.concatenate(parts) for parts in zip(*links))
+    matrix = np.zeros((d, d), dtype=complex)
+    matrix[np.searchsorted(states, targets), np.searchsorted(states, sources)] = amplitudes
+    # a real matrix, as every Schwinger chain's, is diagonalized in real
+    # arithmetic: ~6x faster at 924 states
+    energies, modes = np.linalg.eigh(matrix if matrix.imag.any() else matrix.real)
+    first = np.searchsorted(states, start)
+    psi = modes @ (np.exp(-1j * np.outer(energies, times)) * modes[first].conj()[:, None])
+
+    # <P> = sum_b conj(psi[b ^ x]) phase(b) psi[b]; a partner outside the
+    # sector holds no amplitude
+    strings = list(dict.fromkeys(s for combo in combos for s in combo.strings))
+    flip, sign_mask, phase = _basis_action(strings, n)
+    expectations = np.empty((len(strings), len(times)))
+    for x in np.unique(flip):
+        members = np.flatnonzero(flip == x)
+        partners = states ^ x
+        rows = np.minimum(np.searchsorted(states, partners), d - 1)
+        overlaps = psi[rows].conj() * psi * (states[rows] == partners)[:, None]
+        odd = np.bitwise_count(states & sign_mask[members, None]) & 1
+        expectations[members] = (np.where(odd, -1, 1) * phase[members, None] @ overlaps).real
+    index = {string: k for k, string in enumerate(strings)}
+    weights = np.zeros((len(combos), len(strings)))
+    for row, combo in zip(weights, combos):
+        for w, string in combo.terms:
+            row[index[string]] = w
+    offsets = np.array([combo.constant_offset for combo in combos])
+    return offsets[:, None] + weights @ expectations
+
+
+def _basis_action(strings: Sequence[PauliString], n_qubits: int):
+    """``(flip, sign_mask, phase)`` of each string as n-bit basis masks,
+    site 1 most significant: the string maps basis state b to
+    ``phase * (-1)**|b & sign_mask| * |b ^ flip>``.
+
+    Per site, with the bits (hi, lo) of the string's :func:`~bbgky_zne.pauli.code`
+    digit, the axis is ``1j**(x z) X**x Z**z`` with x = hi ^ lo and z = hi
+    (the rule of :func:`~bbgky_zne.pauli.multiply`), so flip = x,
+    sign_mask = z and phase = ``1j**|Y|``."""
+    flip, sign_mask, phase = [], [], []
+    for string in strings:
+        digits = format(code(string, n_qubits), f"0{2 * n_qubits}b")
+        hi, lo = int(digits[0::2], 2), int(digits[1::2], 2)
+        flip.append(hi ^ lo)
+        sign_mask.append(hi)
+        phase.append(1j ** (hi & ~lo).bit_count())
+    return (
+        np.array(flip, dtype=np.int64),
+        np.array(sign_mask, dtype=np.int64),
+        np.array(phase, dtype=complex),
+    )

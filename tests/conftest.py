@@ -1,10 +1,27 @@
 import numpy as np
 import pytest
 
+from bbgky_zne.hierarchy import SpinHamiltonian
 from bbgky_zne.mitigation import bernstein_deriv_weight
 from bbgky_zne.pauli import PauliString
 from bbgky_zne.simulator import MeasurementSet
-from bbgky_zne.verify import random_hamiltonian, random_string  # noqa: F401
+
+
+def random_hamiltonian(rng: np.random.Generator, n_qubits: int) -> SpinHamiltonian:
+    """Normal random fields and couplings on every site pair."""
+    h = rng.normal(size=(n_qubits, 3))
+    V = np.zeros((n_qubits, n_qubits, 3, 3))
+    upper = np.triu_indices(n_qubits, k=1)
+    V[upper] = rng.normal(size=(len(upper[0]), 3, 3))
+    return SpinHamiltonian(n_qubits, h, V)
+
+
+def random_string(rng: np.random.Generator, n_qubits: int) -> PauliString:
+    """Uniformly random non-identity Pauli string."""
+    while True:
+        axes = rng.integers(0, 4, size=n_qubits)
+        if axes.any():
+            return PauliString(tuple((i + 1, int(a)) for i, a in enumerate(axes) if a))
 
 
 def random_measurements(

@@ -63,6 +63,49 @@ def dense_hamiltonian(n_qubits: int, h: np.ndarray, V: np.ndarray) -> np.ndarray
     return out
 
 
+def dense_pauli(string, n_qubits: int) -> np.ndarray:
+    """Dense matrix of a :class:`~bbgky_zne.pauli.PauliString`, site 1 as
+    the leftmost factor; read-only, as :func:`dense_string`."""
+    if string.max_site() > n_qubits:
+        raise ValueError(f"string {string.token()!r} does not fit on {n_qubits} qubits")
+    return dense_string(axes_of(string.factors, n_qubits))
+
+
+def dense_combination(combo, n_qubits: int) -> np.ndarray:
+    """Dense matrix of an :class:`~bbgky_zne.pauli.ObservableCombination`."""
+    out = combo.constant_offset * np.eye(2**n_qubits, dtype=complex)
+    for weight, string in combo.terms:
+        out += weight * dense_pauli(string, n_qubits)
+    return out
+
+
+def dense_terms(ham) -> np.ndarray:
+    """Dense ``sum c P`` over :attr:`~bbgky_zne.hierarchy.SpinHamiltonian.terms`."""
+    out = np.zeros((2**ham.n_qubits,) * 2, dtype=complex)
+    for string, c in ham.terms:
+        out += c * dense_pauli(string, ham.n_qubits)
+    return out
+
+
+def dense_exact_reference(ham, label: str, times, observables) -> np.ndarray:
+    """Expectations ``[observable, time]`` of the Pauli strings or
+    combinations ``observables`` after evolving the basis state ``label``
+    under the whole 2^n x 2^n :func:`dense_terms`, diagonalized once."""
+    n = ham.n_qubits
+    energies, modes = np.linalg.eigh(dense_terms(ham))
+    coeffs = modes[int(label, 2)].conj()
+    matrices = [
+        dense_pauli(obs, n) if hasattr(obs, "factors") else dense_combination(obs, n)
+        for obs in observables
+    ]
+    out = np.empty((len(matrices), len(times)))
+    for t_index, t in enumerate(times):
+        psi = modes @ (np.exp(-1j * energies * t) * coeffs)
+        for o_index, matrix in enumerate(matrices):
+            out[o_index, t_index] = float(np.vdot(psi, matrix @ psi).real)
+    return out
+
+
 def all_axes(n_qubits: int, include_identity: bool = False):
     for axes in product(range(4), repeat=n_qubits):
         if not include_identity and not any(axes):

@@ -252,13 +252,6 @@ def test_scan_subcommand(tmp_path):
     assert set(summary["observables"]) == {"Q", "P"}
 
 
-def test_verify_subcommand(capsys):
-    assert main(["verify", "--seed", "0"]) == 0
-    captured = capsys.readouterr()
-    assert "PASS" in captured.out
-    assert "FAIL" not in captured.out
-
-
 def test_unknown_config_key_exits_2(tmp_path, capsys):
     config = write_config(tmp_path, {"bogus": 1})
     assert main(["simulate", "--config", str(config)]) == 2

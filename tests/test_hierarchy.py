@@ -18,6 +18,7 @@ from conftest import random_hamiltonian, random_string
 from oracles import (
     axes_of,
     component_sizes,
+    dense_terms,
     equation_coefficients,
     inverse_connection_map,
 )
@@ -52,7 +53,7 @@ def test_build_canonicalizes_site_order():
 
 def test_dense_hamiltonian_is_hermitian(rng):
     ham = random_hamiltonian(rng, 3)
-    dense = ham.dense()
+    dense = dense_terms(ham)
     np.testing.assert_allclose(dense, dense.conj().T, atol=1e-13)
 
 

@@ -8,11 +8,10 @@ from bbgky_zne.pauli import (
     anticommute,
     code,
     decode,
-    dense_pauli,
     multiply,
     parse_basis_label,
 )
-from oracles import axes_of, dense_string
+from oracles import axes_of, dense_combination, dense_pauli, dense_string
 
 
 @pytest.mark.parametrize("token", ["I", "Z1", "X1 Z3", "Y2 X4", "X1 Y2 Z3"])
@@ -172,7 +171,7 @@ def test_combination_dense_and_evaluate():
     z1 = PauliString.parse("Z1")
     x2 = PauliString.parse("X2")
     combo = ObservableCombination(2.0, ((0.5, z1), (-1.5, x2)))
-    dense = combo.dense(2)
+    dense = dense_combination(combo, 2)
     expected = (
         2.0 * np.eye(4) + 0.5 * dense_pauli(z1, 2) - 1.5 * dense_pauli(x2, 2)
     )

@@ -8,7 +8,7 @@ import pytest
 from bbgky_zne import schwinger
 from bbgky_zne.errors import IllPosedFitError, ResourceLimitError
 from bbgky_zne.mitigation import run_mitigation
-from bbgky_zne.pauli import PauliString, dense_pauli
+from bbgky_zne.pauli import PauliString
 from bbgky_zne.schwinger import (
     SchwingerParams,
     build_hamiltonian,
@@ -26,7 +26,7 @@ from bbgky_zne.simulator import (
     evolve_exact,
     trotter_factors,
 )
-from oracles import factor_unitary
+from oracles import dense_combination, factor_unitary
 
 FAST_PLAN = EvolutionPlan(6, 1.2, 1, (0.0, 1.0, 2.0), 2048, 3)
 MILD_NOISE = NoiseModel(0.001, 0.01, 0.02)
@@ -95,6 +95,14 @@ def test_exact_evolution_conserves_charge():
     np.testing.assert_allclose(series[0], 0.0, atol=1e-12)
 
 
+def test_exact_evolution_conserves_charge_at_twelve_qubits():
+    # the charge sector of 0101... holds C(12, 6) = 924 states, under the cap
+    ham = build_hamiltonian(SchwingerParams(12, 0.4, 30.0, 0.7, 100.0))
+    times = np.linspace(0.0, 4.0, 21)
+    series = evolve_exact(ham, default_initial_state(12), times, [charge_observable(12)])
+    np.testing.assert_allclose(series[0], 0.0, rtol=0, atol=1e-12)
+
+
 def test_trotter_step_product_conserves_charge():
     # individual hopping factors do not commute with the total charge, but
     # the ordered product over a full step does
@@ -102,7 +110,7 @@ def test_trotter_step_product_conserves_charge():
     factors = trotter_factors(ham, 0.2, 1)
     unitaries = [factor_unitary(f, 4) for f in factors]
     step = reduce(lambda acc, u: u @ acc, unitaries, np.eye(16, dtype=complex))
-    charge = charge_observable(4).dense(4)
+    charge = dense_combination(charge_observable(4), 4)
     assert np.linalg.norm(step @ charge - charge @ step) < 1e-12
     xx = next(u for f, u in zip(factors, unitaries) if f.string.token() == "X1 X2")
     assert np.linalg.norm(xx @ charge - charge @ xx) > 1e-3

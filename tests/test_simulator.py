@@ -9,8 +9,13 @@ import pytest
 from bbgky_zne import simulator
 from bbgky_zne.errors import ResourceLimitError
 from bbgky_zne.hierarchy import SpinHamiltonian, select_subset
-from bbgky_zne.pauli import PauliString, dense_pauli
-from bbgky_zne.schwinger import SchwingerParams, build_hamiltonian, hierarchy_seeds
+from bbgky_zne.pauli import ObservableCombination, PauliString
+from bbgky_zne.schwinger import (
+    SchwingerParams,
+    build_hamiltonian,
+    hierarchy_seeds,
+    tracked_observables,
+)
 from bbgky_zne.simulator import (
     EvolutionPlan,
     MeasurementSet,
@@ -27,11 +32,13 @@ from bbgky_zne.simulator import (
     shifted_error_level,
     trotter_factors,
 )
-from conftest import random_hamiltonian, random_measurements
+from conftest import random_hamiltonian, random_measurements, random_string
 from oracles import (
     apply_local_transfer,
     axes_of,
+    dense_exact_reference,
     dense_hamiltonian,
+    dense_pauli,
     depolarize_reference,
     factor_unitary,
     heisenberg_transfer,
@@ -505,10 +512,67 @@ def test_evolve_exact_matches_rk4(rng):
     np.testing.assert_allclose(ours, expected, atol=1e-8)
 
 
-def test_evolve_exact_qubit_cap():
-    big = SpinHamiltonian(11, np.zeros((11, 3)), np.zeros((11, 11, 3, 3)))
+@pytest.mark.parametrize("n_qubits", [2, 4, 6, 8])
+def test_evolve_exact_matches_dense_reference_on_schwinger_chains(n_qubits):
+    ham = build_hamiltonian(SchwingerParams(n_qubits, 0.4, 30.0, 0.7, 100.0))
+    subset = select_subset(ham, hierarchy_seeds(n_qubits), 1)
+    observables = list(tracked_observables(n_qubits).values()) + list(subset.correlators)
+    assert any(c.factors[0][1] in (1, 2) for c in subset.correlators)
+    times = np.linspace(0.0, 4.0, 21)
+    label = "01" * (n_qubits // 2)
+    np.testing.assert_allclose(
+        evolve_exact(ham, label, times, observables),
+        dense_exact_reference(ham, label, times, observables),
+        rtol=0,
+        atol=1e-12,
+    )
+
+
+@pytest.mark.parametrize("n_qubits", [3, 4, 5])
+def test_evolve_exact_matches_dense_reference_on_random_hamiltonians(rng, n_qubits):
+    times = [0.0, 0.3, 1.1, 2.5]
+    for _ in range(4):
+        ham = random_hamiltonian(rng, n_qubits)
+        label = "".join(str(b) for b in rng.integers(0, 2, size=n_qubits))
+        strings = [random_string(rng, n_qubits) for _ in range(6)]
+        strings += [PauliString.parse("X1"), PauliString.parse("Y1 Y2")]
+        combination = ObservableCombination(0.5, ((0.3, strings[0]), (-1.2, strings[1])))
+        observables = strings + [combination]
+        np.testing.assert_allclose(
+            evolve_exact(ham, label, times, observables),
+            dense_exact_reference(ham, label, times, observables),
+            rtol=0,
+            atol=1e-12,
+        )
+
+
+@pytest.mark.parametrize("n_qubits,states", [(4, 6), (6, 20), (8, 70)])
+def test_evolve_exact_grows_the_charge_sector(monkeypatch, n_qubits, states):
+    """XX and YY on a pair cancel between |00> and |11>: a sector grown
+    without summing them first would hold 2^(n-1) states, not C(n, n/2)."""
+    ham = build_hamiltonian(SchwingerParams(n_qubits, 0.4, 30.0, 0.7, 100.0))
+    label, observable = "01" * (n_qubits // 2), [PauliString.parse("Z1")]
+    monkeypatch.setattr(simulator, "EXACT_MAX_STATES", states)
+    evolve_exact(ham, label, [1.0], observable)
+    monkeypatch.setattr(simulator, "EXACT_MAX_STATES", states - 1)
     with pytest.raises(ResourceLimitError):
-        evolve_exact(big, "0" * 11, [0.0], [PauliString.parse("Z1")])
+        evolve_exact(ham, label, [1.0], observable)
+
+
+def test_evolve_exact_refuses_a_sector_past_its_cap():
+    """An X field on every site reaches all 2^11 basis states: refused while
+    the sector grows, before a 2 048^2 (64 MiB) matrix is built."""
+    fields = np.zeros((11, 3))
+    fields[:, 0] = 1.0
+    ham = SpinHamiltonian(11, fields, np.zeros((11, 11, 3, 3)))
+    tracemalloc.start()
+    try:
+        with pytest.raises(ResourceLimitError, match="1024 basis states"):
+            evolve_exact(ham, "0" * 11, [0.0, 1.0], [PauliString.parse("Z1")])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2**20
 
 
 def test_measurement_set_validation(rng):

@@ -171,3 +171,37 @@ def test_package_reads_no_environment_variables():
         path.name: environment_reads(path.read_text()) for path in sorted(PACKAGE.glob("*.py"))
     }
     assert {name: reads for name, reads in found.items() if reads} == {}
+
+
+def dense_builders(source: str) -> list[str]:
+    """Reads of ``kron`` (as ``np.kron``, ``numpy.kron`` or imported by
+    name) and of ``dense_pauli`` in ``source``: the 2^n x 2^n builders that
+    only the test oracles may use."""
+    names = {"kron", "dense_pauli"}
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Attribute) and node.attr in names:
+            found.append((node.lineno, node.attr))
+        elif isinstance(node, ast.Name) and node.id in names:
+            found.append((node.lineno, node.id))
+        elif isinstance(node, ast.ImportFrom):
+            found += [(node.lineno, a.name) for a in node.names if a.name in names]
+    return [f"{name} (line {line})" for line, name in sorted(found)]
+
+
+def test_dense_builder_detector():
+    source = (
+        "import numpy as np\nfrom numpy import kron\nfrom .pauli import dense_pauli\n"
+        "a = np.kron(x, y)\nb = kron(x, y)\nc = pauli.dense_pauli(s, 2)\nd = np.dot(x, y)\n"
+    )
+    assert dense_builders(source) == [
+        "kron (line 2)", "dense_pauli (line 3)", "kron (line 4)", "kron (line 5)",
+        "dense_pauli (line 6)",
+    ]
+
+
+def test_package_builds_no_dense_pauli_matrices():
+    """The exact reference works in the initial state's sector; the dense
+    2^n x 2^n path lives on in tests/oracles.py as its oracle only."""
+    found = {path.name: dense_builders(path.read_text()) for path in sorted(PACKAGE.glob("*.py"))}
+    assert {name: uses for name, uses in found.items() if uses} == {}
