@@ -57,6 +57,7 @@ from .simulator import (
     error_level,
     evolve_exact,
     evolve_noisy,
+    evolve_noisy_batch,
     fold_schedule,
     shifted_error_level,
     trotter_factors,
@@ -96,6 +97,7 @@ __all__ = [
     "error_norm",
     "evolve_exact",
     "evolve_noisy",
+    "evolve_noisy_batch",
     "extrapolation_covariance",
     "fold_schedule",
     "hierarchy_seeds",

@@ -242,7 +242,7 @@ def check_solve_size(layout: ProblemLayout) -> None:
         )
 
 
-def _check_degree(degree: int, n_levels: int) -> int:
+def check_degree(degree: int, n_levels: int) -> int:
     """The degree as an int. A step has at most ``n_levels`` distinct error
     levels, so a degree they cannot support raises :class:`IllPosedFitError`
     here, before the Vandermonde blocks of (degree + 1) columns are built."""
@@ -290,7 +290,7 @@ def assemble(
     measured correlators so column indices agree. ``dt`` is the step length
     of the measurement grid; ``g_weight`` scales the constraint rows.
     """
-    degree = _check_degree(degree, measurements.n_levels)
+    degree = check_degree(degree, measurements.n_levels)
     if not dt > 0.0:
         raise ValueError(f"dt must be positive, got {dt}")
     if not 0.0 <= g_weight < math.inf:
@@ -427,7 +427,7 @@ def zne_baseline(measurements: MeasurementSet, degree: int) -> np.ndarray:
     This is the joint fit without constraint rows. Requires at least
     ``degree + 1`` distinct error levels in every step column.
     """
-    degree = _check_degree(degree, measurements.n_levels)
+    degree = check_degree(degree, measurements.n_levels)
     estimates, _ = _fit_blocks(
         _vandermonde(measurements, degree),
         measurements.values.reshape(-1, measurements.n_levels),

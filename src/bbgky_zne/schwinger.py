@@ -24,10 +24,11 @@ from typing import Sequence
 
 import numpy as np
 
-from .hierarchy import SpinHamiltonian, select_subset
+from .hierarchy import HierarchySubset, SpinHamiltonian, select_subset
 from .mitigation import (
     MitigationOutput,
     ProblemLayout,
+    check_degree,
     check_solve_size,
     error_norm,
     observable_covariance,
@@ -41,6 +42,7 @@ from .simulator import (
     NoiseModel,
     evolve_exact,
     evolve_noisy,
+    evolve_noisy_batch,
 )
 
 
@@ -198,26 +200,45 @@ def run_cell(
 ) -> CellOutcome:
     """Simulate one parameter point and mitigate it with and without
     hierarchy constraints."""
-    n = params.n_qubits
-    state = default_initial_state(n) if initial_state is None else initial_state
-    ham = build_hamiltonian(params)
-    subset = select_subset(ham, hierarchy_seeds(n), radius)
-    # fail before the simulation when the constrained fit cannot be afforded
-    check_solve_size(
-        ProblemLayout(
-            subset.n_correlators, plan.n_steps, len(plan.fold_levels), degree, subset.n_equations
-        )
-    )
+    state = default_initial_state(params.n_qubits) if initial_state is None else initial_state
+    ham, subset = _prepare_cell(params, plan, radius, degree)
     measurements = evolve_noisy(ham, state, plan, noise, subset.correlators)
+    return _mitigate_cell(params, ham, state, plan, subset, measurements, degree, g_weight)
 
-    observables = tracked_observables(n)
+
+def _prepare_cell(
+    params: SchwingerParams, plan: EvolutionPlan, radius: int, degree: int
+) -> tuple[SpinHamiltonian, HierarchySubset]:
+    """The cell's Hamiltonian and subset, once it is checked, before anything
+    is simulated, that its fits can be afforded and that the fold levels
+    support their degree."""
+    ham = build_hamiltonian(params)
+    subset = select_subset(ham, hierarchy_seeds(params.n_qubits), radius)
+    n_levels = len(plan.fold_levels)
+    check_solve_size(
+        ProblemLayout(subset.n_correlators, plan.n_steps, n_levels, degree, subset.n_equations)
+    )
+    check_degree(degree, n_levels)
+    return ham, subset
+
+
+def _mitigate_cell(
+    params: SchwingerParams,
+    ham: SpinHamiltonian,
+    state: str,
+    plan: EvolutionPlan,
+    subset: HierarchySubset,
+    measurements: MeasurementSet,
+    degree: int,
+    g_weight: float,
+) -> CellOutcome:
+    """The exact reference, both fits and the observable reports of one
+    simulated cell."""
+    observables = tracked_observables(params.n_qubits)
     references = evolve_exact(ham, state, plan.times, list(observables.values()))
-
     bbgky = run_mitigation(measurements, subset, degree, plan.dt, g_weight)
     zne = run_mitigation(measurements, None, degree, plan.dt)
-    reports = report_observables(
-        measurements, observables, references, zne, bbgky, plan.dt
-    )
+    reports = report_observables(measurements, observables, references, zne, bbgky, plan.dt)
     return CellOutcome(params, subset, measurements, zne, bbgky, reports)
 
 
@@ -305,20 +326,43 @@ def run_scan(
     g_weight: float = 1.0,
     initial_state: str | None = None,
 ) -> ScanGrid:
-    """Run every (l0, m/g) cell with an independent derived seed."""
+    """Run every (l0, m/g) cell with an independent derived seed.
+
+    Every cell is built and checked before any is simulated. Cells whose
+    Hamiltonians have the same term strings (m/g = 0 drops the mass term)
+    and the same correlators are simulated together by
+    :func:`~bbgky_zne.simulator.evolve_noisy_batch`; then each cell is
+    mitigated as :func:`run_cell` mitigates it, so a cell's reports are the
+    same bytes either way.
+    """
     l0_values = tuple(float(v) for v in l0_values)
     mass_values = tuple(float(v) for v in mass_values)
     if not l0_values or not mass_values:
         raise ValueError("scan grid must be non-empty")
-    cells: dict[tuple[int, int], dict[str, ObservableReport]] = {}
+    n = base_params.n_qubits
+    state = default_initial_state(n) if initial_state is None else initial_state
+    # (i, j) -> (params, plan, Hamiltonian, subset)
+    cells = {}
     for i, l0 in enumerate(l0_values):
         for j, mass in enumerate(mass_values):
             params = replace(base_params, l0=l0, mass_ratio=mass)
             cell_plan = replace(plan, rng_seed=cell_seed(seed, i, j))
-            outcome = run_cell(
-                params, cell_plan, noise, radius, degree, g_weight, initial_state
-            )
-            cells[(i, j)] = outcome.reports
-    return ScanGrid(
-        l0_values, mass_values, tuple(tracked_observables(base_params.n_qubits)), cells
-    )
+            cells[(i, j)] = (params, cell_plan) + _prepare_cell(params, cell_plan, radius, degree)
+    groups: dict[tuple, list[tuple[int, int]]] = {}
+    for key, (_, _, ham, subset) in cells.items():
+        strings = tuple(string for string, _ in ham.terms)
+        groups.setdefault((strings, subset.correlators), []).append(key)
+    measurements = {}
+    for (_, correlators), keys in groups.items():
+        hams = [cells[key][2] for key in keys]
+        plans = [cells[key][1] for key in keys]
+        measurements.update(
+            zip(keys, evolve_noisy_batch(hams, state, plans, noise, correlators))
+        )
+    reports = {
+        key: _mitigate_cell(
+            params, ham, state, cell_plan, subset, measurements[key], degree, g_weight
+        ).reports
+        for key, (params, cell_plan, ham, subset) in cells.items()
+    }
+    return ScanGrid(l0_values, mass_values, tuple(tracked_observables(n)), reports)

@@ -13,17 +13,22 @@ depolarizing channel, applied after every factor, is diagonal:
 it damps each string that touches its sites. An optional readout bit-flip is
 folded into each measured expectation.
 
-The fold levels of one :func:`evolve_noisy` call share their unitary part,
-so the call advances them in groups: one buffer holds the states of a group
-of levels (:data:`LEVEL_GROUP_BYTES` sets its size from the state's byte
-size), and is reset for each group. Before the first step the call builds
-each factor's ``(cos, sin)`` and flip, and one :func:`damping_tensor` per
-distinct (support, rate); per group it builds each factor's flipped view of
-the buffer, so that three in-place operations rotate every state of the
-group. Each level then gets its own channels, noise-only passes and draws,
-in the order a lone level would, so the outputs do not depend on the group
-size. :func:`depolarize` changes the state it is given in place, as one
-product with that tensor. When the tensors would exceed
+The cells of one :func:`evolve_noisy_batch` call (parameter points whose
+Hamiltonians have the same term strings, in the same order) and the fold
+levels of each cell share the unitary part of their evolution up to the
+angles, so the call advances them in batches: one buffer of shape
+``(levels, cells) + (4,) * n`` holds a group of fold levels of a batch of
+cells (:data:`LEVEL_GROUP_BYTES` sets both from the state's byte size), and
+is reset for each group. Each factor's flip and signs are built once per
+batch, with one ``(cos, sin)`` row per cell, so three in-place operations
+rotate every state of the group. Each level's view over the batch's cells
+is contiguous: one :func:`depolarize` call per (level, channel) or
+noise-only pass damps every cell. The draws come after the evolution, per
+(cell, level) stream and in the order a lone cell would make them, so the
+outputs do not depend on the batch or group size; :func:`evolve_noisy` is
+the one-cell call. :func:`depolarize` changes the state it is given in
+place, as one product with a :func:`damping_tensor` per distinct (support,
+rate), held once per cell slot of the batch. When the tensors would exceed
 :data:`DAMPING_TENSOR_BYTES`, each channel instead scales the whole state
 and restores the strings it spares. Both forms give the same floats.
 Nothing the call builds outlives it.
@@ -58,7 +63,7 @@ from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import reduce
 from typing import Sequence
 
@@ -75,16 +80,19 @@ NOISY_MAX_QUBITS = 8
 #: 2^10, the dimension of a dense 10-qubit eigenbasis, so that no input needs
 #: more. A Schwinger chain's sector holds C(n, n/2) states (924 at n = 12).
 EXACT_MAX_STATES = 2**10
-#: bytes of damping tensors one :func:`evolve_noisy` call may hold. Past it
+#: bytes of damping tensors one :func:`evolve_noisy_batch` call may hold,
+#: one tensor per distinct (support, rate) and cell slot of a batch. Past it
 #: they outgrow a core's cache, and reading a tensor per channel costs more
 #: than scaling the whole state and restoring the strings the channel spares.
 DAMPING_TENSOR_BYTES = 2**21
-#: bytes of state and partner buffers one :func:`evolve_noisy` call may hold
-#: to advance fold levels together. The group size is the largest count of
-#: levels whose two buffers of ``8 * 4**n`` bytes each fit, and at least one:
-#: up to 32 levels at n = 4, 8 at n = 5, 2 at n = 6 and 1 from n = 7 on.
-#: Rotating a group at once amortizes the per-call overhead that dominates
-#: small registers; at n = 8 two or four levels at once made the call 9-18 %
+#: bytes of state and partner buffers one :func:`evolve_noisy_batch` call may
+#: hold, two buffers of ``8 * 4**n`` bytes per state. They cap the states
+#: (levels x cells) advanced together, at least one: a batch holds all fold
+#: levels of as many cells as fit, or one cell and as many levels as fit.
+#: With four fold levels that is 8 cells at n = 4, 2 cells at n = 5, one
+#: cell and 2 levels at n = 6 and one state from n = 7 on. Rotating many
+#: states at once amortizes the per-call overhead that dominates small
+#: registers; at n = 8 two or four levels at once made the call 9-18 %
 #: slower, and at n = 6 four levels exceed the call's memory budget.
 LEVEL_GROUP_BYTES = 2**17
 
@@ -103,10 +111,6 @@ class NoiseModel:
             if not 0.0 <= value <= 1.0:
                 raise ValueError(f"{name} must lie in [0, 1], got {value}")
             object.__setattr__(self, name, value)
-
-    @property
-    def is_zero(self) -> bool:
-        return self.depol_1q == 0.0 and self.depol_2q == 0.0 and self.readout_flip == 0.0
 
 
 @dataclass(frozen=True)
@@ -315,31 +319,35 @@ def trotter_factors(ham: SpinHamiltonian, dt: float, order: int = 1) -> tuple[Tr
 _WHOLE, _REVERSED = slice(None), slice(None, None, -1)
 
 
-def factor_rotation(factor: TrotterFactor, n_qubits: int) -> tuple[np.ndarray, np.ndarray, tuple]:
-    """``(cos, sin, flip)`` such that the factor maps the ``(2,) * 2n`` bit
-    view r of the state (two bits per site, site 1 first) to
-    ``cos * r + sin * r[flip]``.
+def factor_rotation(
+    string: PauliString, angles: Sequence[float], n_qubits: int
+) -> tuple[np.ndarray, np.ndarray, tuple]:
+    """``(cos, sin, flip)`` such that the factor ``exp(-i angle string)`` at
+    the c-th of ``angles`` maps the ``(2,) * 2n`` bit view r of the state
+    (two bits per site, site 1 first) to ``cos[c] * r + sin[c] * r[flip]``.
 
     A string a that commutes with P keeps its value; one with
     ``P a = 1j**power * b`` (:func:`~bbgky_zne.pauli.multiply`), power odd,
     moves to ``cos(2 angle) <a> -+ sin(2 angle) <b>`` for power 1 / 3, the
-    signs of :func:`~bbgky_zne.hierarchy.derive_equation`. ``cos`` and
-    ``sin`` hold these factors for the 4^k strings on the factor's own k <= 2
-    sites, shaped to broadcast from their bit axes. The partner code is
-    ``a ^ code(P)``, so ``flip`` reverses the bit axes set in ``code(P)``:
-    ``r[flip]`` is a view holding ``<P a>`` at a."""
-    c, s = math.cos(2.0 * factor.angle), math.sin(2.0 * factor.angle)
-    local = int("".join(str(axis) for _, axis in factor.string.factors), 4)
-    cos = np.ones(4 ** len(factor.string))
+    signs of :func:`~bbgky_zne.hierarchy.derive_equation`. ``cos[c]`` and
+    ``sin[c]`` hold these factors for the 4^k strings on the factor's own
+    k <= 2 sites, shaped to broadcast from their bit axes; the signs and
+    ``flip`` are shared by all angles. The partner code is ``a ^ code(P)``,
+    so ``flip`` reverses the bit axes set in ``code(P)``: ``r[flip]`` is a
+    view holding ``<P a>`` at a."""
+    local = int("".join(str(axis) for _, axis in string.factors), 4)
+    powers = [multiply(local, a)[0] for a in range(4 ** len(string))]
+    cos = np.ones((len(angles), len(powers)))
     sin = np.zeros_like(cos)
-    for a in range(cos.size):
-        power, _ = multiply(local, a)
-        if power & 1:
-            cos[a], sin[a] = c, s if power == 3 else -s
-    shape = [1] * (2 * n_qubits)
-    for site in factor.string.sites:
-        shape[2 * site - 2 : 2 * site] = (2, 2)
-    p = code(factor.string, n_qubits)
+    for row, angle in enumerate(angles):
+        c, s = math.cos(2.0 * angle), math.sin(2.0 * angle)
+        for a, power in enumerate(powers):
+            if power & 1:
+                cos[row, a], sin[row, a] = c, s if power == 3 else -s
+    shape = [len(angles)] + [1] * (2 * n_qubits)
+    for site in string.sites:
+        shape[2 * site - 1 : 2 * site + 1] = (2, 2)
+    p = code(string, n_qubits)
     flip = tuple(
         _REVERSED if p >> (2 * n_qubits - 1 - axis) & 1 else _WHOLE for axis in range(2 * n_qubits)
     )
@@ -413,21 +421,53 @@ def evolve_noisy(
     noise: NoiseModel,
     correlators: Sequence[PauliString],
 ) -> MeasurementSet:
-    """Simulate the full measurement campaign for one parameter point.
+    """Simulate the full measurement campaign for one parameter point: the
+    one-cell call of :func:`evolve_noisy_batch`."""
+    return evolve_noisy_batch([ham], initial_state, [plan], noise, correlators)[0]
 
-    For every fold level the register is re-evolved from scratch with its own
-    random stream (derived from ``plan.rng_seed`` and the level index), and
-    after each step every correlator is estimated. The draw order per step is
-    fixed (level shift first, then correlators in order) so runs are
-    reproducible regardless of the consumer.
 
-    Fold levels differ only in their noise-only passes and their draws, so a
-    group of them (sized by :data:`LEVEL_GROUP_BYTES`) is advanced together:
-    one rotation per factor for every state of the group, then each level's
-    own channels, passes and draws. Each level sees the same floating-point
-    operations whatever the group size.
+def evolve_noisy_batch(
+    hams: Sequence[SpinHamiltonian],
+    initial_state: str,
+    plans: Sequence[EvolutionPlan],
+    noise: NoiseModel,
+    correlators: Sequence[PauliString],
+) -> list[MeasurementSet]:
+    """Simulate the measurement campaign of several cells at once, one
+    :class:`MeasurementSet` per (Hamiltonian, plan) pair.
+
+    The Hamiltonians must have the same term strings in the same order (their
+    coefficients may differ), and the plans may differ in ``rng_seed`` only;
+    otherwise ``ValueError`` is raised.
+
+    For every fold level of every cell the register is evolved from the
+    initial state with its own random stream (derived from the cell's
+    ``plan.rng_seed`` and the level index), and after each step every
+    correlator is estimated. The draw order per stream is fixed (level shift
+    first, then correlators in order, step by step) so runs are reproducible
+    regardless of the consumer.
+
+    Cells and fold levels differ only in their angles, noise-only passes and
+    draws, so a batch of them (sized by :data:`LEVEL_GROUP_BYTES`) is
+    advanced together: one rotation per factor for every state of the batch,
+    then each level's own channels and passes for all cells of the batch.
+    Each state sees the same floating-point operations whatever the batch.
     """
+    hams, plans = list(hams), list(plans)
+    if not hams or len(plans) != len(hams):
+        raise ValueError("a batch needs one plan per Hamiltonian and at least one cell")
+    ham, plan = hams[0], plans[0]
     n = ham.n_qubits
+    strings = [string for string, _ in ham.terms]
+    for other in hams[1:]:
+        if other.n_qubits != n:
+            raise ValueError(
+                f"a batch holds one register size, got {n} and {other.n_qubits} qubits"
+            )
+        if [string for string, _ in other.terms] != strings:
+            raise ValueError("the Hamiltonians of a batch must have the same term strings in order")
+    if any(replace(other, rng_seed=plan.rng_seed) != plan for other in plans[1:]):
+        raise ValueError("the plans of a batch may differ in rng_seed only")
     if n > NOISY_MAX_QUBITS:
         raise ResourceLimitError(
             f"evolve_noisy is capped at {NOISY_MAX_QUBITS} qubits, got {n}"
@@ -442,81 +482,112 @@ def evolve_noisy(
     initial = reduce(np.multiply.outer, site_states).reshape(-1)[codes] + 0.0
     bit_shape = (2,) * (2 * n)
 
-    n_corr, n_steps, n_levels = len(correlators), plan.n_steps, len(plan.fold_levels)
-    values = np.empty((n_corr, n_steps, n_levels))
-    eps = np.empty((n_steps, n_levels))
-    # one buffer of `group` states, reset for each group of fold levels, and
-    # its partner buffer
+    n_cells, n_corr = len(hams), len(correlators)
+    n_steps, n_levels = plan.n_steps, len(plan.fold_levels)
+    values = np.empty((n_cells, n_corr, n_steps, n_levels))
+    eps = np.tile(
+        [[error_level(s, eta) for eta in plan.fold_levels] for s in range(1, n_steps + 1)],
+        (n_cells, 1, 1),
+    )
+    # one buffer of `group` levels by `batch` cells, reset for each group of
+    # fold levels, and its partner buffer: each level's view over the cells
+    # is contiguous, so one channel call damps it
     state_bytes = 8 * 4**n
-    group = max(1, min(n_levels, LEVEL_GROUP_BYTES // (2 * state_bytes)))
-    states = np.empty((group,) + (4,) * n)
-    partners = np.empty((group,) + bit_shape)
+    room = LEVEL_GROUP_BYTES // (2 * state_bytes)
+    group = max(1, min(n_levels, room))
+    batch = max(1, min(n_cells, room // n_levels))
+    states = np.empty((group, batch) + (4,) * n)
+    partners = np.empty((group, batch) + bit_shape)
+    bit_states = states.reshape((group, batch) + bit_shape)
+    flat_states = states.reshape(group, batch, -1)
 
-    factors = trotter_factors(ham, plan.dt, plan.trotter_order)
-    rotations = [factor_rotation(factor, n) for factor in factors]
-    supports = [f.string.sites for f in factors]
+    factors = [trotter_factors(h, plan.dt, plan.trotter_order) for h in hams]
+    supports = [f.string.sites for f in factors[0]]
     rates = [noise.depol_1q if len(sites) == 1 else noise.depol_2q for sites in supports]
     keys = list(zip(supports, rates))
     noisy = {key for key in keys if key[1]}
-    # channels[j][key]: the arguments of depolarize for the j-th state
-    if len(noisy) * state_bytes <= DAMPING_TENSOR_BYTES:
-        tensors = {key: damping_tensor(*key, n) for key in noisy}
-        channels = [{key: (r, tensors[key]) for key in noisy} for r in states]
-    else:
-        channels, saved = [{} for _ in states], {}
-        for r, channel in zip(states, channels):
-            for sites, p in noisy:
-                kept = r[_untouched(sites, n)]
-                buffer = saved.setdefault(len(sites), np.empty_like(kept))
-                channel[sites, p] = (r, 1.0 - p, kept, buffer)
-    noise_passes = [[channel[key] for key in keys if key in noisy] for channel in channels]
+    # a tensor per cell slot: a product of equal shapes skips numpy's
+    # broadcasting, which costs more than the product at small n
+    tensors = (
+        {key: np.broadcast_to(damping_tensor(*key, n), states.shape[1:]).copy() for key in noisy}
+        if len(noisy) * batch * state_bytes <= DAMPING_TENSOR_BYTES
+        else None
+    )
     readout = np.array([(1.0 - 2.0 * noise.readout_flip) ** len(c) for c in correlators])
+    schedules = [fold_schedule(eta, n_steps) for eta in plan.fold_levels]
 
-    for first in range(0, n_levels, group):
-        levels = range(first, min(first + group, n_levels))
-        size = len(levels)
-        bits = states[:size].reshape((size,) + bit_shape)
-        flat = states[:size].reshape(size, -1)
-        partner = partners[:size]
-        steps = [
-            (
-                cos,
-                sin,
-                bits[(_WHOLE,) + flip],
-                [channel[key] for channel in channels[:size]] if key in noisy else [],
-            )
-            for (cos, sin, flip), key in zip(rotations, keys)
+    for start in range(0, n_cells, batch):
+        cells = range(start, min(start + batch, n_cells))
+        size = len(cells)
+        rotations = [
+            factor_rotation(f.string, [factors[c][i].angle for c in cells], n)
+            for i, f in enumerate(factors[0])
         ]
-        rngs = [np.random.default_rng([plan.rng_seed, k]) for k in levels]
-        schedules = [fold_schedule(plan.fold_levels[k], n_steps) for k in levels]
-        # the basis state, rebuilt for each group: held beside the buffer, it
-        # would add a state to the peak
-        states[:size] = reduce(np.multiply.outer, site_states)
-        for s in range(1, n_steps + 1):
-            for cos, sin, flipped, after in steps:
-                # in place on the bit view of every state of the group: the
-                # partners are read out before any entry changes
-                np.multiply(sin, flipped, out=partner)
-                bits *= cos
-                bits += partner
-                for damping in after:
-                    depolarize(*damping)
-            for j, k in enumerate(levels):
-                for _ in range(2 * schedules[j][s - 1]):
-                    for damping in noise_passes[j]:
-                        depolarize(*damping)
-                expectations = np.clip(flat[j, codes] * readout, -1.0, 1.0)
-                level = error_level(s, plan.fold_levels[k])
-                if plan.shots is None:
-                    eps[s - 1, k] = level
-                    values[:, s - 1, k] = expectations
-                else:
-                    # EvolutionPlan has checked shots and the clip bounds the
-                    # expectations, so the draws skip the public helpers' checks
-                    eps[s - 1, k] = level + _level_shift(plan.shots, rngs[j])
-                    values[:, s - 1, k] = _binomial_estimate(expectations, plan.shots, rngs[j])
+        # channels[j][key]: the arguments of depolarize for the j-th level of
+        # a group, over the batch's cells
+        slots = states[:, :size]
+        if tensors is not None:
+            channels = [{key: (r, tensors[key][:size]) for key in noisy} for r in slots]
+        else:
+            channels, saved = [{} for _ in slots], {}
+            for r, channel in zip(slots, channels):
+                for sites, p in noisy:
+                    kept = r[(_WHOLE,) + _untouched(sites, n)]
+                    buffer = saved.setdefault(len(sites), np.empty_like(kept))
+                    channel[sites, p] = (r, 1.0 - p, kept, buffer)
+        noise_passes = [[channel[key] for key in keys if key in noisy] for channel in channels]
 
-    return MeasurementSet(correlators, values, eps, initial, plan.shots)
+        for first in range(0, n_levels, group):
+            levels = range(first, min(first + group, n_levels))
+            width = len(levels)
+            bits = bit_states[:width, :size]
+            flat = flat_states[:width, :size]
+            partner = partners[:width, :size]
+            steps = [
+                (
+                    cos,
+                    sin,
+                    bits[(_WHOLE, _WHOLE) + flip],
+                    [channel[key] for channel in channels[:width]] if key in noisy else [],
+                )
+                for (cos, sin, flip), key in zip(rotations, keys)
+            ]
+            # the basis state, rebuilt for each group: held beside the
+            # buffer, it would add a state to the peak
+            states[:width, :size] = reduce(np.multiply.outer, site_states)
+            for s in range(1, n_steps + 1):
+                for cos, sin, flipped, after in steps:
+                    # in place on the bit view of every state of the group:
+                    # the partners are read out before any entry changes
+                    np.multiply(sin, flipped, out=partner)
+                    bits *= cos
+                    bits += partner
+                    for damping in after:
+                        depolarize(*damping)
+                for j, k in enumerate(levels):
+                    for _ in range(2 * schedules[k][s - 1]):
+                        for damping in noise_passes[j]:
+                            depolarize(*damping)
+                # [level, cell, correlator] -> [cell, correlator, level]
+                expectations = np.clip(flat[:, :, codes] * readout, -1.0, 1.0)
+                values[start : start + size, :, s - 1, first : first + width] = (
+                    expectations.transpose(1, 2, 0)
+                )
+
+    if plan.shots is not None:
+        # EvolutionPlan has checked shots and the clip bounds the
+        # expectations, so the draws skip the public helpers' checks
+        for c, cell_plan in enumerate(plans):
+            for k in range(n_levels):
+                rng = np.random.default_rng([cell_plan.rng_seed, k])
+                for s in range(n_steps):
+                    eps[c, s, k] += _level_shift(plan.shots, rng)
+                    values[c, :, s, k] = _binomial_estimate(values[c, :, s, k], plan.shots, rng)
+
+    return [
+        MeasurementSet(correlators, values[c], eps[c], initial.copy(), plan.shots)
+        for c in range(n_cells)
+    ]
 
 
 def evolve_exact(

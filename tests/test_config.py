@@ -6,6 +6,7 @@ import pytest
 from bbgky_zne.config import load_config
 from bbgky_zne.errors import ConfigError
 from bbgky_zne.pauli import PauliString
+from bbgky_zne.simulator import NoiseModel
 
 
 def write(tmp_path, doc):
@@ -25,7 +26,7 @@ def test_defaults_without_file():
     assert config.plan.fold_levels == (0.0, 1.0, 1.5, 2.0)
     assert config.plan.shots == 10240
     assert config.plan.rng_seed == 3
-    assert config.noise.is_zero
+    assert config.noise == NoiseModel()
     assert config.mitigation.degree == 2
     assert config.mitigation.radius == 0
     assert config.scan.l0_values == (0.0, 0.5, 1.0, 1.5)

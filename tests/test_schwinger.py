@@ -10,6 +10,7 @@ from bbgky_zne.errors import IllPosedFitError, ResourceLimitError
 from bbgky_zne.mitigation import run_mitigation
 from bbgky_zne.pauli import PauliString
 from bbgky_zne.schwinger import (
+    ObservableReport,
     SchwingerParams,
     build_hamiltonian,
     cell_seed,
@@ -210,6 +211,54 @@ def test_run_cell_refuses_an_unaffordable_fit_before_simulating(monkeypatch):
     try:
         with pytest.raises(ResourceLimitError, match="GiB"):
             run_cell(SchwingerParams(8, 0.3, 30.0, 0.4), plan, MILD_NOISE, 2, 2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**26
+
+
+@pytest.mark.parametrize("shots", [2048, None])
+def test_run_scan_reports_what_run_cell_reports(shots):
+    """A 3 x 3 grid with an m/g = 0 column, whose Hamiltonians lack the mass
+    term, so the scan simulates two batches of different strings: every
+    cell's reports equal those of its own run_cell."""
+    plan = replace(FAST_PLAN, shots=shots)
+    base = SchwingerParams(4, 0.0, 30.0, 0.0, 100.0)
+    l0_values, mass_values = (0.0, 0.5, 1.0), (0.0, 0.1, 0.3)
+    grid = run_scan(l0_values, mass_values, base, plan, MILD_NOISE, 0, 2, 11)
+    term_counts = {len(build_hamiltonian(replace(base, mass_ratio=m)).terms) for m in mass_values}
+    assert term_counts == {15, 16}
+    for i, l0 in enumerate(l0_values):
+        for j, mass in enumerate(mass_values):
+            cell_plan = replace(plan, rng_seed=cell_seed(11, i, j))
+            alone = run_cell(replace(base, l0=l0, mass_ratio=mass), cell_plan, MILD_NOISE, 0, 2)
+            assert set(grid.cells[(i, j)]) == set(alone.reports)
+            for name, report in alone.reports.items():
+                scanned = grid.cells[(i, j)][name]
+                for field in ObservableReport.__dataclass_fields__:
+                    ours, theirs = getattr(scanned, field), getattr(report, field)
+                    assert np.asarray(ours).tobytes() == np.asarray(theirs).tobytes(), field
+
+
+@pytest.mark.parametrize(
+    "n_qubits, radius, degree, error",
+    [(8, 2, 2, ResourceLimitError), (4, 0, 4, IllPosedFitError)],
+)
+def test_run_scan_refuses_a_cell_before_simulating_any(
+    monkeypatch, n_qubits, radius, degree, error
+):
+    """n = 8, r = 2 needs 4 GiB for each cell's constrained fit, and four
+    fold levels cannot support degree 4: the scan fails before its first
+    batch and allocates next to nothing."""
+    monkeypatch.setattr(schwinger, "evolve_noisy_batch", lambda *args: pytest.fail("simulated"))
+    plan = EvolutionPlan(20, 4.0, 1, (0.0, 1.0, 1.5, 2.0), 10240, 1)
+    tracemalloc.start()
+    try:
+        with pytest.raises(error):
+            run_scan(
+                [0.0, 0.5], [0.0, 0.3], SchwingerParams(n_qubits), plan, MILD_NOISE, radius,
+                degree, 1,
+            )
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

@@ -26,6 +26,7 @@ from bbgky_zne.simulator import (
     error_level,
     evolve_exact,
     evolve_noisy,
+    evolve_noisy_batch,
     factor_rotation,
     fold_schedule,
     sample_estimate,
@@ -125,7 +126,7 @@ def test_factor_rotation_matches_dense_heisenberg_action(rng, n_qubits, order):
     assert {len(f.string) for f in factors} == {1, 2}
     for factor in factors:
         r = rng.normal(size=(4,) * n_qubits)
-        cos, sin, flip = factor_rotation(factor, n_qubits)
+        cos, sin, flip = factor_rotation(factor.string, [factor.angle], n_qubits)
         bits = r.reshape((2,) * (2 * n_qubits))
         ours = (cos * bits + sin * bits[flip]).reshape(r.shape)
         expected = apply_local_transfer(r, heisenberg_transfer(factor), factor.string.sites)
@@ -249,7 +250,7 @@ def test_noise_model_validation():
         NoiseModel(-0.1, 0.0, 0.0)
     with pytest.raises(ValueError):
         NoiseModel(0.0, 1.1, 0.0)
-    assert NoiseModel(0.0, 0.0, 0.0).is_zero
+    assert NoiseModel(0.0, 0.0, 0.0) == NoiseModel()
 
 
 def test_noiseless_run_equals_unitary_trotter(rng):
@@ -349,6 +350,64 @@ def test_fold_level_groups_give_identical_outputs(monkeypatch, rng, order, shots
         assert other.values.tobytes() == runs[0].values.tobytes()
         assert other.eps.tobytes() == runs[0].eps.tobytes()
         assert other.initial.tobytes() == runs[0].initial.tobytes()
+
+
+@pytest.mark.parametrize("tensor_bytes", [simulator.DAMPING_TENSOR_BYTES, 0])
+@pytest.mark.parametrize("shots", [None, 256])
+@pytest.mark.parametrize("order", [1, 2])
+def test_batches_of_cells_give_the_bytes_of_one_cell_at_a_time(
+    monkeypatch, rng, order, shots, tensor_bytes
+):
+    """Five cells with the same strings but different angles and seeds, in
+    batches of 1, 2 and 3 cells (the last batch short), give the bytes of
+    five single-cell calls, with damping tensors and with scaled-and-restored
+    channels: a batch accepts equal strings with different angles."""
+    n = 3
+    hams = [random_hamiltonian(rng, n) for _ in range(5)]
+    assert len({tuple(s for s, _ in ham.terms) for ham in hams}) == 1
+    plans = [EvolutionPlan(6, 1.2, order, (0.0, 0.5, 1.5), shots, seed) for seed in range(5)]
+    noise = NoiseModel(0.02, 0.05, 0.01)
+    correlators = tuple(PauliString.parse(t) for t in ("Z1", "X1 Y2", "Y2 Z3", "X3"))
+    monkeypatch.setattr(simulator, "DAMPING_TENSOR_BYTES", tensor_bytes)
+    alone = [evolve_noisy(ham, "011", plan, noise, correlators) for ham, plan in zip(hams, plans)]
+    for cells in (1, 2, 3):
+        monkeypatch.setattr(simulator, "LEVEL_GROUP_BYTES", cells * 3 * 2 * 8 * 4**n)
+        batched = evolve_noisy_batch(hams, "011", plans, noise, correlators)
+        assert len(batched) == len(alone)
+        for ours, theirs in zip(batched, alone):
+            assert ours.values.tobytes() == theirs.values.tobytes()
+            assert ours.eps.tobytes() == theirs.eps.tobytes()
+            assert ours.initial.tobytes() == theirs.initial.tobytes()
+
+
+@pytest.mark.parametrize(
+    "second, plan_change, match",
+    [
+        (SchwingerParams(6, 0.1), {}, "register size"),
+        (SchwingerParams(4, 0.0), {}, "term strings"),
+        (SchwingerParams(4, 0.3), {"shots": 512}, "rng_seed only"),
+        (SchwingerParams(4, 0.3), {"fold_levels": (0.0, 2.0)}, "rng_seed only"),
+        (SchwingerParams(4, 0.3), {"trotter_order": 2}, "rng_seed only"),
+        (SchwingerParams(4, 0.3), {"total_time": 0.7}, "rng_seed only"),
+    ],
+)
+def test_a_mixed_batch_is_refused(second, plan_change, match):
+    """Different register sizes, different term strings (m/g = 0 drops the
+    mass term) and plans that differ in more than their seed."""
+    plan = EvolutionPlan(3, 0.6, 1, (0.0, 1.0), 256, 0)
+    hams = [build_hamiltonian(SchwingerParams(4, 0.1)), build_hamiltonian(second)]
+    plans = [plan, replace(plan, rng_seed=1, **plan_change)]
+    with pytest.raises(ValueError, match=match):
+        evolve_noisy_batch(hams, "0101", plans, NoiseModel(), (PauliString.parse("Z1"),))
+
+
+def test_a_batch_needs_one_plan_per_hamiltonian():
+    ham = build_hamiltonian(SchwingerParams(4, 0.1))
+    plan = EvolutionPlan(3, 0.6, 1, (0.0, 1.0), 256, 0)
+    correlators = (PauliString.parse("Z1"),)
+    for hams, plans in (([], []), ([ham, ham], [plan])):
+        with pytest.raises(ValueError, match="one plan per Hamiltonian"):
+            evolve_noisy_batch(hams, "0101", plans, NoiseModel(), correlators)
 
 
 def test_level_zero_does_not_depend_on_the_other_levels(rng):
