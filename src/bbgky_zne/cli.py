@@ -37,7 +37,7 @@ from .jsonio import (
     dump_json,
     load_json,
 )
-from .mitigation import run_mitigation
+from .mitigation import propagate_std, run_mitigation
 from .pauli import ObservableCombination
 from .schwinger import (
     build_hamiltonian,
@@ -165,10 +165,11 @@ def cmd_mitigate(
     result_doc: dict = {}
     csv_rows = []
     for label, output in (("zne", plain), ("bbgky", constrained)):
+        extrapolations = output.result.extrapolations
         doc = {
             "correlators": [c.token() for c in measurements.correlators],
-            "extrapolations": output.result.extrapolations.tolist(),
-            "std": output.result.std.tolist(),
+            "extrapolations": extrapolations.tolist(),
+            "std": propagate_std(output.covariance, extrapolations.shape).tolist(),
             "observables": [],
         }
         for name, report in reports.items():

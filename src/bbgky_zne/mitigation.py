@@ -22,9 +22,10 @@ mitigated estimate of block (q, s) lives at flat index
 ``(q * N + s - 1) * (d + 1) + d``.
 
 :func:`assemble` builds only the pieces of that matrix: one Vandermonde
-block per (q, s), the measured values, and the constraint rows G, g over
-the Q * N constant terms. The dense matrix and right-hand side are views of
-a :class:`MitigationProblem` that are built on first use, by
+matrix per step (every correlator of a step is measured at the same error
+levels), the measured values, and the constraint rows G, g over the Q * N
+constant terms. The dense matrix and right-hand side are views of a
+:class:`MitigationProblem` that are built on first use, by
 ``bbgky-zne mitigate --dump-matrix`` and by the checks that compare the
 reduced solve with a direct solve of the paper form.
 
@@ -34,8 +35,8 @@ eliminated in closed form (separable least squares, Golub & Pereyra, SIAM J.
 Numer. Anal. 10:413, 1973): for a fixed constant term c the block's best
 residual is ``w (c - c_hat)^2`` plus a constant, where ``c_hat`` is the plain
 ZNE estimate of the block and ``w = 1 / [(V^T V)^-1]_dd``. Both come from one
-QR factorisation of V. What remains is the weighted fit of the Q * N
-constant terms alone,
+QR factorisation of the step's V. What remains is the weighted fit of the
+Q * N constant terms alone,
 
     [diag(sqrt w); G] c ~= [sqrt(w) c_hat; g].
 
@@ -48,8 +49,13 @@ form, Q = I - V T V^T (Schreiber & Van Loan, SIAM J. Sci. Stat. Comput.
 :func:`zne_baseline`.
 
 Each c_hat is linear in its own block's data and the blocks are independent,
-so the shot-noise covariance of c is exactly ``J diag(var c_hat) J^T`` with
-J = dc/dc_hat (:func:`extrapolation_covariance`).
+so the shot-noise covariance of c is exactly ``C = J diag(var c_hat) J^T``
+with J = dc/dc_hat = D^-1 Y Y^T D, D = diag(sqrt w), where Y is the top-right
+Q N x Q N block of the QR's orthogonal factor. Neither Y nor C is formed:
+:class:`Sensitivity` keeps J as the reflectors, and
+:class:`EstimateCovariance` multiplies k weight rows W through it in
+O(k m Q N), so a report reads W C W^T of its observables and ``mitigate``
+the diagonal of C (:func:`propagate_std`) without any Q N x Q N array.
 
 A step with fewer than d + 1 distinct error levels has no unique fit, and
 the solve raises :class:`~bbgky_zne.errors.IllPosedFitError`. Otherwise the
@@ -60,7 +66,7 @@ the one :func:`solve` returns.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from typing import Sequence
 
@@ -76,8 +82,12 @@ from .simulator import MeasurementSet
 RCOND = 1e-10
 #: bytes of the arrays one :func:`run_mitigation` may build
 #: (:attr:`ProblemLayout.solve_bytes`). The Schwinger chain at 20 steps needs
-#: 0.74 GiB at n = 6, r = 2 and 4.0 GiB at n = 8, r = 2.
+#: 0.22 GiB at n = 6, r = 2, 0.91 GiB at n = 8, r = 2 and 16.5 GiB at
+#: n = 8, r = 3.
 SOLVE_MAX_BYTES = 2**31
+#: rows of the identity that :func:`propagate_std` multiplies through the
+#: sensitivity at once, so its arrays stay at this many rows by Q * N
+STD_BLOCK_ROWS = 256
 
 
 def bernstein_value(s: int, degree: int, x: float) -> float:
@@ -139,14 +149,20 @@ class ProblemLayout:
 
     @property
     def solve_bytes(self) -> int:
-        """Bytes of the largest arrays :func:`run_mitigation` builds: the
-        covariance of the Q * N estimates and, with constraint rows, also the
-        (Q * N + m) x m matrix A of :func:`solve`, its Q * N x Q * N block Y
-        and the sensitivity."""
+        """Bytes of the arrays :func:`run_mitigation` holds at its peak.
+
+        With m constraint rows that is the QR of :func:`solve`: G (m x Q N),
+        the matrix A = [G D^-1, I]^T ((Q N + m) x m) and the copy that
+        ``np.linalg.qr`` factors, beside the plain fit's gains
+        (Q N x levels), estimates and weights. Without constraint rows it is
+        the plain covariance: the gains, the point variances and the squared
+        gains, and three Q N vectors. LAPACK's own working copy of A inside
+        the QR is not counted; it adds (Q N + m) x m floats to the RSS."""
         blocks = self.n_correlators * self.n_steps
         rows = self.n_equations * (self.n_steps + 1)
-        squares = 3 if rows else 1
-        return 8 * ((blocks + rows) * rows + squares * blocks**2)
+        if not rows:
+            return 8 * 3 * blocks * (self.n_levels + 1)
+        return 8 * (rows * blocks + 2 * (blocks + rows) * rows + blocks * (self.n_levels + 2))
 
     def extraction_index(self, q: int, s: int) -> int:
         """Flat column of the mitigated estimate of correlator q at step s."""
@@ -161,11 +177,11 @@ class ProblemLayout:
 class MitigationProblem:
     """Block form of the joint least-squares problem.
 
-    ``vander[b]`` is the descending-power Vandermonde matrix of block
-    b = q * N + s - 1, shape (Q * N, levels, d + 1), and ``data[b]`` its
-    measured values. ``constraints`` is G, one row per (equation, time point)
-    over the Q * N constant terms, and ``rhs`` is g; both are already scaled by
-    ``g_weight``. :attr:`matrix` and :attr:`target` scatter these blocks into
+    ``vander[s - 1]`` is the descending-power Vandermonde matrix of step s,
+    shape (N, levels, d + 1), which every block b = q * N + s - 1 of that step
+    shares, and ``data[b]`` the block's measured values. ``constraints`` is G,
+    one row per (equation, time point) over the Q * N constant terms, and
+    ``rhs`` is g; both are already scaled by ``g_weight``. :attr:`matrix` and :attr:`target` scatter these blocks into
     the dense paper form on first use.
     """
 
@@ -180,7 +196,7 @@ class MitigationProblem:
         n_blocks = layout.n_correlators * layout.n_steps
         n_rows = layout.n_equations * (layout.n_steps + 1)
         for name, shape in (
-            ("vander", (n_blocks, layout.n_levels, layout.degree + 1)),
+            ("vander", (layout.n_steps, layout.n_levels, layout.degree + 1)),
             ("data", (n_blocks, layout.n_levels)),
             ("constraints", (n_rows, n_blocks)),
             ("rhs", (n_rows,)),
@@ -199,11 +215,12 @@ class MitigationProblem:
     def matrix(self) -> np.ndarray:
         """Dense paper-form design matrix, (n_rows, n_cols)."""
         layout = self.layout
-        n_blocks, n_levels, width = self.vander.shape
+        n_steps, n_levels, width = self.vander.shape
+        n_blocks = layout.n_correlators * n_steps
         matrix = np.zeros((layout.n_rows, layout.n_cols))
         top = matrix[: n_blocks * n_levels].reshape(n_blocks, n_levels, n_blocks, width)
         blocks = np.arange(n_blocks)
-        top[blocks, :, blocks, :] = self.vander
+        top[blocks, :, blocks, :] = self.vander[blocks % n_steps]
         matrix[n_blocks * n_levels :, layout.extraction_indices().ravel()] = self.constraints
         return matrix
 
@@ -211,6 +228,51 @@ class MitigationProblem:
     def target(self) -> np.ndarray:
         """Dense paper-form right-hand side: measured values, then g."""
         return np.concatenate([self.data.ravel(), self.rhs])
+
+
+@dataclass(frozen=True)
+class Sensitivity:
+    """The constrained fit's Jacobian J = dc/dc_hat = D^-1 Y Y^T D, factored.
+
+    J acts on the flattened (q-major) estimates; D = diag(sqrt w) and
+    Y = I[:QN, m:] - V[:QN] T V[m:]^T is the top-right block of the
+    orthogonal factor of :func:`solve`'s QR. It is kept as that QR's m
+    Householder reflectors V, ``top = V[:QN]`` and ``bottom = V[m:]``, and
+    ``t_inv`` = T^-1 = striu(V^T V) + diag(1 / tau).
+    """
+
+    root_w: np.ndarray
+    top: np.ndarray
+    bottom: np.ndarray
+    t_inv: np.ndarray
+
+    def apply(self, weights: np.ndarray) -> np.ndarray:
+        """``weights @ J`` for k weight rows over the Q * N estimates."""
+        scaled = weights / self.root_w
+        return self._apply(scaled, scaled @ self.top)
+
+    def rows(self, start: int, stop: int) -> np.ndarray:
+        """Rows ``start:stop`` of J."""
+        scaled = np.eye(stop - start, self.root_w.size, start) / self.root_w
+        return self._apply(scaled, self.top[start:stop] / self.root_w[start:stop, None])
+
+    def _apply(self, scaled: np.ndarray, projected: np.ndarray) -> np.ndarray:
+        """``(W D^-1) Y Y^T D`` from ``scaled`` = W D^-1 and
+        ``projected`` = W D^-1 V[:QN], in O(k m Q N): with S = I[:QN, m:],
+        first B = W D^-1 S - (W D^-1 V[:QN]) T V[m:]^T, then
+        B Y^T = B S^T - (B V[m:]) T^T V[:QN]^T. Right-multiplying by S moves
+        columns m: to :QN-m, by S^T back; both are empty once m >= Q N,
+        where the constraints pin every estimate."""
+        m = self.t_inv.shape[0]
+        shift = max(self.root_w.size - m, 0)
+        left = np.linalg.solve(self.t_inv.T, projected.T).T @ self.bottom.T
+        np.negative(left, out=left)
+        left[:, :shift] += scaled[:, m:]
+        out = np.linalg.solve(self.t_inv, (left @ self.bottom).T).T @ self.top.T
+        np.negative(out, out=out)
+        out[:, m:] += left[:, :shift]
+        out *= self.root_w
+        return out
 
 
 @dataclass(frozen=True)
@@ -225,8 +287,25 @@ class MitigationResult:
 
     extrapolations: np.ndarray
     gains: np.ndarray
-    sensitivity: np.ndarray | None
-    std: np.ndarray | None = None
+    sensitivity: Sensitivity | None
+
+
+@dataclass(frozen=True)
+class EstimateCovariance:
+    """Shot-noise covariance C = J P J^T of the flattened (q-major)
+    estimates, factored: ``root_plain`` is the square root of the diagonal P
+    of the plain estimates' variances, and J the fit's sensitivity, the
+    identity when it is ``None``."""
+
+    root_plain: np.ndarray
+    sensitivity: Sensitivity | None
+
+    def factor(self, weights: np.ndarray) -> np.ndarray:
+        """K with W C W^T = K K^T, for k rows W over the Q * N estimates. The
+        largest array it builds is k x Q N."""
+        if self.sensitivity is not None:
+            weights = self.sensitivity.apply(weights)
+        return weights * self.root_plain
 
 
 def check_solve_size(layout: ProblemLayout) -> None:
@@ -256,11 +335,9 @@ def check_degree(degree: int, n_levels: int) -> int:
 
 
 def _vandermonde(measurements: MeasurementSet, degree: int) -> np.ndarray:
-    """Descending-power Vandermonde matrix of every (q, s) block, shape
-    (Q * N, levels, degree + 1), block b = q * N + s - 1."""
-    shape = measurements.values.shape
-    eps = np.broadcast_to(measurements.eps, shape)
-    return (eps[..., None] ** np.arange(degree, -1, -1)).reshape(-1, shape[2], degree + 1)
+    """Descending-power Vandermonde matrix of every step, shape
+    (N, levels, degree + 1)."""
+    return measurements.eps[..., None] ** np.arange(degree, -1, -1)
 
 
 @lru_cache(maxsize=8)
@@ -332,33 +409,35 @@ def assemble(
     return MitigationProblem(_vandermonde(measurements, degree), data, constraints, rhs, layout)
 
 
-def _fit_blocks(
-    vander: np.ndarray, data: np.ndarray, n_steps: int
-) -> tuple[np.ndarray, np.ndarray]:
+def _fit_blocks(vander: np.ndarray, data: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Plain polynomial fit of every block to eps = 0.
 
-    ``vander`` holds one descending-power Vandermonde matrix per block, shape
-    (blocks, levels, degree + 1), and ``data`` the measured values, shape
-    (blocks, levels); block b belongs to step ``b % n_steps + 1``. Returns the
-    constant terms and the gains h with ``estimate = h @ data``. Raises
-    :class:`IllPosedFitError` when a block has fewer than ``degree + 1``
+    ``vander`` holds one descending-power Vandermonde matrix per step, shape
+    (N, levels, degree + 1), and ``data`` the measured values of every block,
+    shape (Q * N, levels); block b belongs to step ``b % N + 1``. Each step is
+    factored once. Returns the constant terms and the gains h, shape
+    (Q * N, levels), with ``estimate = h @ data``. Raises
+    :class:`IllPosedFitError` when a step has fewer than ``degree + 1``
     distinct error levels.
     """
-    degree = vander.shape[-1] - 1
+    n_steps, n_levels, width = vander.shape
+    degree = width - 1
     if degree >= 1:
         eps = np.sort(vander[:, :, -2], axis=1)
         distinct = 1 + np.count_nonzero(np.diff(eps, axis=1) > 1e-12, axis=1)
         short = np.flatnonzero(distinct < degree + 1)
         if short.size:
-            b = int(short[0])
+            s = int(short[0])
             raise IllPosedFitError(
-                f"step {b % n_steps + 1}: {distinct[b]} distinct error levels "
+                f"step {s + 1}: {distinct[s]} distinct error levels "
                 f"cannot support degree {degree}"
             )
     # V = QR with the constant column last: the constant term of the fit is
     # Q[:, d] . y / R[d, d], and [(V^T V)^-1]_dd = 1 / R[d, d]^2
     basis, upper = np.linalg.qr(vander)
-    gains = basis[:, :, degree] / upper[:, degree, degree, None]
+    step_gains = basis[:, :, degree] / upper[:, degree, degree, None]
+    gains = np.broadcast_to(step_gains, (data.shape[0] // n_steps, n_steps, n_levels))
+    gains = gains.reshape(data.shape)
     return np.einsum("bl,bl->b", gains, data), gains
 
 
@@ -369,7 +448,7 @@ def solve(problem: MitigationProblem) -> MitigationResult:
     result equals the paper-form least-squares solution.
     """
     layout = problem.layout
-    estimates, gains = _fit_blocks(problem.vander, problem.data, layout.n_steps)
+    estimates, gains = _fit_blocks(problem.vander, problem.data)
     shape = (layout.n_correlators, layout.n_steps)
     gains_out = gains.reshape(*shape, layout.n_levels)
     constraints = problem.constraints
@@ -388,36 +467,26 @@ def solve(problem: MitigationProblem) -> MitigationResult:
     # (Puglisi 1992). That needs every tau > 0, and here each tau lies in
     # [1, 2]: LAPACK sets tau = 0 only for a column that is zero below its
     # diagonal, but column i of A keeps the identity's 1 in row Q N + i, where
-    # every earlier reflector is zero. The dels below keep the peak at about
-    # two Q N x Q N arrays.
+    # every earlier reflector is zero.
     packed, tau = np.linalg.qr(
         np.vstack([(constraints / root_w).T, np.eye(n_rows)]), mode="raw"
     )
-    # LAPACK's layout: R on and above the diagonal, V (unit diagonal) below
-    upper = np.triu(packed.T[:n_rows])
-    reflectors = np.tril(packed.T, -1)
-    del packed
-    np.fill_diagonal(reflectors, 1.0)
+    # LAPACK's layout: R on and above the diagonal, V (unit diagonal) below;
+    # V takes over R's storage
+    reflectors = packed.T
+    head = reflectors[:n_rows]
+    upper = np.triu(head)
+    head[...] = np.tril(head, -1)
+    np.fill_diagonal(head, 1.0)
     t_inv = np.triu(reflectors.T @ reflectors, 1)
     np.fill_diagonal(t_inv, 1.0 / tau)
     z = np.linalg.solve(upper.T, problem.rhs - constraints @ estimates)
-    # one product V[:QN] T [V^T [z; 0], V[m:]^T]: its first column gives
-    # X z = ([z; 0] - V T V^T [z; 0])[:QN], the rest -Y = V[:QN] T V[m:]^T
-    # - I[:QN, m:], both in place
-    coupled = reflectors[:n_blocks] @ np.linalg.solve(
-        t_inv, np.column_stack([reflectors[:n_rows].T @ z, reflectors[n_rows:].T])
-    )
-    del reflectors
-    correction = -coupled[:, 0]
+    # X z = ([z; 0] - V T V^T [z; 0])[:QN]
+    correction = reflectors[:n_blocks] @ np.linalg.solve(t_inv, head.T @ z)
+    np.negative(correction, out=correction)
     correction[: min(n_rows, n_blocks)] += z[:n_blocks]
     extrapolations = estimates + correction / root_w
-    minus_y = coupled[:, 1:]
-    shifted = np.arange(max(n_blocks - n_rows, 0))
-    minus_y[n_rows + shifted, shifted] -= 1.0
-    sensitivity = minus_y @ minus_y.T
-    del coupled, minus_y
-    sensitivity /= root_w[:, None]
-    sensitivity *= root_w
+    sensitivity = Sensitivity(root_w, reflectors[:n_blocks], reflectors[n_rows:], t_inv)
     return MitigationResult(extrapolations.reshape(shape), gains_out, sensitivity)
 
 
@@ -431,7 +500,6 @@ def zne_baseline(measurements: MeasurementSet, degree: int) -> np.ndarray:
     estimates, _ = _fit_blocks(
         _vandermonde(measurements, degree),
         measurements.values.reshape(-1, measurements.n_levels),
-        measurements.n_steps,
     )
     return estimates.reshape(measurements.values.shape[:2])
 
@@ -449,8 +517,9 @@ def measurement_variances(measurements: MeasurementSet) -> np.ndarray:
 
 def extrapolation_covariance(
     result: MitigationResult, point_variances: Sequence[float]
-) -> np.ndarray:
-    """Full covariance of the extracted estimates, flattened (q-major).
+) -> EstimateCovariance:
+    """Covariance of the extracted estimates, flattened (q-major), in
+    factored form.
 
     ``point_variances`` holds the noise variance of every measured point,
     shaped like the measured values.
@@ -466,16 +535,26 @@ def extrapolation_covariance(
     plain = np.einsum(
         "bl,bl->b", result.gains.reshape(-1, n_levels) ** 2, variances.reshape(-1, n_levels)
     )
-    if result.sensitivity is None:
-        return np.diag(plain)
-    factor = result.sensitivity * np.sqrt(plain)
-    return factor @ factor.T
+    return EstimateCovariance(np.sqrt(plain), result.sensitivity)
 
 
-def propagate_std(covariance: np.ndarray, shape: tuple[int, int]) -> np.ndarray:
-    """Standard deviation of each extracted estimate: the square root of the
-    covariance diagonal, reshaped to (correlators, steps)."""
-    return np.sqrt(np.diag(covariance)).reshape(shape)
+def propagate_std(covariance: EstimateCovariance, shape: tuple[int, int]) -> np.ndarray:
+    """Standard deviation of each extracted estimate, the square root of the
+    covariance diagonal, reshaped to (correlators, steps).
+
+    With a sensitivity it multiplies rows of the identity through it,
+    :data:`STD_BLOCK_ROWS` at a time: O(Q N^2 m) in all."""
+    sensitivity = covariance.sensitivity
+    if sensitivity is None:
+        return covariance.root_plain.reshape(shape)
+    n_blocks = covariance.root_plain.size
+    variances = np.empty(n_blocks)
+    for start in range(0, n_blocks, STD_BLOCK_ROWS):
+        stop = min(start + STD_BLOCK_ROWS, n_blocks)
+        factor = sensitivity.rows(start, stop)
+        factor *= covariance.root_plain
+        variances[start:stop] = np.einsum("ij,ij->i", factor, factor)
+    return np.sqrt(variances).reshape(shape)
 
 
 def error_norm(
@@ -535,30 +614,32 @@ def observable_series(
 
 
 def observable_covariance(
-    observable: ObservableCombination,
+    observables: Sequence[ObservableCombination],
     correlators: Sequence[PauliString],
-    extrap_cov: np.ndarray,
+    covariance: EstimateCovariance,
     n_steps: int,
 ) -> np.ndarray:
-    """Covariance of the observable series; the exact t=0 point is noiseless."""
+    """Covariance of each observable's series, shape (observables, N + 1,
+    N + 1); the exact t=0 point is noiseless."""
     index = {string: i for i, string in enumerate(correlators)}
-    weights = np.zeros((n_steps + 1, len(correlators) * n_steps))
-    for weight, string in observable.terms:
-        if string not in index:
-            raise ValueError(f"observable string {string.token()!r} not measured")
-        q = index[string]
-        for s in range(1, n_steps + 1):
-            weights[s, q * n_steps + (s - 1)] = weight
-    return weights @ extrap_cov @ weights.T
+    weights = np.zeros((len(observables), n_steps + 1, len(correlators) * n_steps))
+    steps = np.arange(n_steps)
+    for o, observable in enumerate(observables):
+        for weight, string in observable.terms:
+            if string not in index:
+                raise ValueError(f"observable string {string.token()!r} not measured")
+            weights[o, 1 + steps, index[string] * n_steps + steps] = weight
+    factor = covariance.factor(weights.reshape(-1, weights.shape[-1])).reshape(weights.shape)
+    return factor @ factor.transpose(0, 2, 1)
 
 
 @dataclass
 class MitigationOutput:
-    """Problem, solution with propagated std, and the estimate covariance."""
+    """Problem, solution, and the factored covariance of the estimates."""
 
     problem: MitigationProblem
     result: MitigationResult
-    covariance: np.ndarray
+    covariance: EstimateCovariance
 
 
 def run_mitigation(
@@ -586,5 +667,4 @@ def run_mitigation(
     problem = assemble(measurements, subset, degree, dt, g_weight)
     result = solve(problem)
     covariance = extrapolation_covariance(result, measurement_variances(measurements))
-    std = propagate_std(covariance, result.extrapolations.shape)
-    return MitigationOutput(problem, replace(result, std=std), covariance)
+    return MitigationOutput(problem, result, covariance)

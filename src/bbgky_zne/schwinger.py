@@ -169,17 +169,22 @@ def report_observables(
 ) -> dict[str, ObservableReport]:
     """Mitigated series, std and error norm of each observable under both
     methods; ``references`` holds the exact series in ``observables`` order."""
+    combos = list(observables.values())
+    covariances = {
+        label: observable_covariance(
+            combos, measurements.correlators, output.covariance, measurements.n_steps
+        )
+        for label, output in (("zne", zne), ("bbgky", bbgky))
+    }
     reports: dict[str, ObservableReport] = {}
-    for (name, combo), reference in zip(observables.items(), references):
+    for o, ((name, combo), reference) in enumerate(zip(observables.items(), references)):
         fields = {}
         for label, output in (("zne", zne), ("bbgky", bbgky)):
             series = observable_series(
                 combo, measurements.correlators, measurements.initial,
                 output.result.extrapolations,
             )
-            cov = observable_covariance(
-                combo, measurements.correlators, output.covariance, measurements.n_steps
-            )
+            cov = covariances[label][o]
             fields[f"series_{label}"] = series
             fields[f"std_{label}"] = np.sqrt(np.clip(np.diag(cov), 0.0, None))
             fields[f"L_{label}"], fields[f"dL_{label}"] = error_norm(

@@ -273,14 +273,9 @@ def shifted_error_level(s: int, eta: float, shots: int, rng: np.random.Generator
     """
     if int(shots) != shots or shots < 1:
         raise ValueError(f"shots must be a positive integer, got {shots}")
-    return error_level(s, eta) + _level_shift(shots, rng)
-
-
-def _level_shift(shots: int, rng: np.random.Generator) -> float:
-    """The clipped Gaussian shift of :func:`shifted_error_level`, unchecked."""
     width = 1.0 / math.sqrt(shots)
     shift = float(rng.normal(0.0, width))
-    return max(-5.0 * width, min(5.0 * width, shift))
+    return error_level(s, eta) + max(-5.0 * width, min(5.0 * width, shift))
 
 
 def fold_schedule(eta: float, n_steps: int) -> list[int]:
@@ -404,13 +399,8 @@ def sample_estimate(expectation, shots: int, rng: np.random.Generator):
         raise ValueError(f"expectation must lie in [-1, 1], got {expectation}")
     if int(shots) != shots or shots < 1:
         raise ValueError(f"shots must be a positive integer, got {shots}")
-    return _binomial_estimate(np.asarray(expectation), int(shots), rng)
-
-
-def _binomial_estimate(expectation: np.ndarray, shots: int, rng: np.random.Generator):
-    """The draw of :func:`sample_estimate`, unchecked: ``expectation`` must
-    lie in [-1, 1] and ``shots`` be a positive int."""
-    ups = rng.binomial(shots, 0.5 * (1.0 + expectation))
+    shots = int(shots)
+    ups = rng.binomial(shots, 0.5 * (1.0 + np.asarray(expectation)))
     return 2.0 * ups / shots - 1.0
 
 
@@ -575,14 +565,29 @@ def evolve_noisy_batch(
                 )
 
     if plan.shots is not None:
+        # The draws of shifted_error_level and sample_estimate, in each
+        # stream's order; their arithmetic is done once for all streams.
         # EvolutionPlan has checked shots and the clip bounds the
-        # expectations, so the draws skip the public helpers' checks
+        # expectations, so the public helpers' checks are skipped. ``draws``
+        # is laid out [cell, level, step, correlator], so that each binomial
+        # call reads one contiguous row of probabilities and its counts
+        # overwrite that row.
+        shots = plan.shots
+        width = 1.0 / math.sqrt(shots)
+        draws = np.add(values.transpose(0, 3, 2, 1), 1.0, order="C")
+        draws *= 0.5
+        shifts = np.empty(draws.shape[:3])
         for c, cell_plan in enumerate(plans):
             for k in range(n_levels):
                 rng = np.random.default_rng([cell_plan.rng_seed, k])
                 for s in range(n_steps):
-                    eps[c, s, k] += _level_shift(plan.shots, rng)
-                    values[c, :, s, k] = _binomial_estimate(values[c, :, s, k], plan.shots, rng)
+                    shifts[c, k, s] = rng.normal(0.0, width)
+                    draws[c, k, s] = rng.binomial(shots, draws[c, k, s])
+        eps += np.clip(shifts, -5.0 * width, 5.0 * width).transpose(0, 2, 1)
+        draws *= 2.0
+        draws /= shots
+        draws -= 1.0
+        values[...] = draws.transpose(0, 3, 2, 1)
 
     return [
         MeasurementSet(correlators, values[c], eps[c], initial.copy(), plan.shots)

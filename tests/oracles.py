@@ -470,7 +470,7 @@ def complete_q_solve(problem) -> tuple[np.ndarray, np.ndarray]:
     from bbgky_zne.mitigation import _fit_blocks
 
     layout = problem.layout
-    estimates, gains = _fit_blocks(problem.vander, problem.data, layout.n_steps)
+    estimates, gains = _fit_blocks(problem.vander, problem.data)
     constraints = problem.constraints
     root_w = 1.0 / np.linalg.norm(gains, axis=1)
     n_blocks, n_rows = root_w.size, constraints.shape[0]
@@ -482,3 +482,11 @@ def complete_q_solve(problem) -> tuple[np.ndarray, np.ndarray]:
     extrapolations = estimates + x @ np.linalg.solve(upper[:n_rows].T, residual) / root_w
     sensitivity = (y / root_w[:, None]) @ (y.T * root_w)
     return extrapolations.reshape(layout.n_correlators, layout.n_steps), sensitivity
+
+
+def dense_covariance(covariance) -> np.ndarray:
+    """The Q N x Q N covariance C of an
+    :class:`~bbgky_zne.mitigation.EstimateCovariance`, as K K^T with K = C's
+    factor of the identity."""
+    factor = covariance.factor(np.eye(covariance.root_plain.size))
+    return factor @ factor.T

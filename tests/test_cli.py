@@ -290,13 +290,13 @@ def test_oversized_system_exits_3(tmp_path, capsys):
 
 @pytest.mark.parametrize("command", ["scan", "mitigate"])
 def test_unaffordable_mitigation_exits_3_before_the_solve(tmp_path, capsys, command):
-    """At n = 8, r = 2 and 20 steps the constrained fit needs 4 GiB; both
+    """At n = 8, r = 3 and 20 steps the constrained fit needs 16.5 GiB; both
     commands stop before building any of it."""
     overrides = {
         "schwinger": {"n_qubits": 8},
         "initial_state": "01" * 4,
         "plan": {"n_steps": 20},
-        "mitigation": {"radius": 2},
+        "mitigation": {"radius": 3},
     }
     config_path = write_config(tmp_path, overrides)
     argv = [command, "--config", str(config_path), "--out-dir", str(tmp_path / "out")]

@@ -10,6 +10,7 @@ from bbgky_zne import mitigation
 from bbgky_zne.errors import IllPosedFitError, ResourceLimitError
 from bbgky_zne.hierarchy import BbgkyEquation, HierarchySubset, select_subset
 from bbgky_zne.mitigation import (
+    EstimateCovariance,
     MitigationProblem,
     ProblemLayout,
     assemble,
@@ -27,12 +28,19 @@ from bbgky_zne.mitigation import (
     zne_baseline,
 )
 from bbgky_zne.pauli import ObservableCombination, PauliString
-from bbgky_zne.schwinger import SchwingerParams, build_hamiltonian, hierarchy_seeds
+from bbgky_zne.schwinger import (
+    SchwingerParams,
+    build_hamiltonian,
+    hierarchy_seeds,
+    report_observables,
+    tracked_observables,
+)
 from bbgky_zne.simulator import MeasurementSet
 from conftest import random_measurements, sampled_derivative
 from oracles import (
     bernstein_fit_derivative,
     complete_q_solve,
+    dense_covariance,
     exact_solution_operator,
     normal_equation_solve,
     paper_form_solve,
@@ -251,12 +259,13 @@ def test_reduced_solve_matches_paper_form_oracle(rng):
                     for name, ours, oracle, scale in (
                         ("extrapolations", output.result.extrapolations, extrapolations,
                          np.abs(extrapolations).max()),
-                        ("covariance", output.covariance, covariance, plain.covariance.max()),
+                        ("covariance", dense_covariance(output.covariance), covariance,
+                         dense_covariance(plain.covariance).max()),
                     ):
                         err = float(np.abs(ours - oracle).max())
                         worst[name] = max(worst[name], err / max(scale, np.finfo(float).tiny))
                     if shots is None:
-                        assert not output.covariance.any()
+                        assert not dense_covariance(output.covariance).any()
     assert worst["extrapolations"] <= 1e-12, worst
     assert worst["covariance"] <= 1e-12, worst
 
@@ -316,7 +325,9 @@ def test_pinned_estimates_match_exact_arithmetic():
     subset = HierarchySubset((BbgkyEquation(z1, ((-0.7, z1),)),), (z1,), 1, 0)
     ms = random_measurements(np.random.default_rng(7), n_correlators=1, n_steps=2, shots=2048)
     output = run_mitigation(ms, subset, 3, 0.3)
-    assert output.covariance.max() < 1e-6 * run_mitigation(ms, None, 3, 0.3).covariance.max()
+    covariance = dense_covariance(output.covariance)
+    plain = dense_covariance(run_mitigation(ms, None, 3, 0.3).covariance)
+    assert covariance.max() < 1e-6 * plain.max()
 
     operator = exact_solution_operator(output.problem.matrix)
     rows = [operator[i] for i in output.problem.layout.extraction_indices().ravel()]
@@ -328,7 +339,7 @@ def test_pinned_estimates_match_exact_arithmetic():
         [[float(sum(a * v * b for a, v, b in zip(ri, variances, rj))) for rj in rows] for ri in rows]
     )
     np.testing.assert_allclose(output.result.extrapolations.ravel(), exact, rtol=1e-12)
-    assert np.abs(output.covariance - exact_cov).max() <= 1e-12 * np.abs(exact_cov).max()
+    assert np.abs(covariance - exact_cov).max() <= 1e-12 * np.abs(exact_cov).max()
 
 
 def test_solve_matches_normal_equations(rng):
@@ -367,7 +378,7 @@ def test_infinite_shots_have_zero_variance(rng):
     ms = random_measurements(rng, shots=None)
     assert not measurement_variances(ms).any()
     output = run_mitigation(ms, None, 1, 0.5)
-    assert not output.result.std.any()
+    assert not propagate_std(output.covariance, output.result.extrapolations.shape).any()
 
 
 def test_propagated_std_matches_monte_carlo(rng):
@@ -378,9 +389,10 @@ def test_propagated_std_matches_monte_carlo(rng):
     for constraints in (None, subset):
         problem = assemble(ms, constraints, 1, 0.5)
         result = solve(problem)
-        cov = extrapolation_covariance(result, variances)
-        std = propagate_std(cov, result.extrapolations.shape)
-        np.testing.assert_array_equal(std, np.sqrt(np.diag(cov)).reshape(std.shape))
+        factored = extrapolation_covariance(result, variances)
+        std = propagate_std(factored, result.extrapolations.shape)
+        cov = dense_covariance(factored)
+        np.testing.assert_allclose(std, np.sqrt(np.diag(cov)).reshape(std.shape), rtol=1e-14)
 
         # redraw the measured values and solve each noisy problem
         draws = 3000
@@ -427,7 +439,7 @@ def test_observable_series_hand_value():
 def test_observable_covariance_hand_value():
     z1, z2 = PauliString.parse("Z1"), PauliString.parse("Z2")
     combo = ObservableCombination(0.0, ((0.5, z1), (-1.0, z2)))
-    cov = observable_covariance(combo, (z1, z2), np.eye(4), 2)
+    cov = observable_covariance([combo], (z1, z2), EstimateCovariance(np.ones(4), None), 2)[0]
     np.testing.assert_allclose(np.diag(cov), [0.0, 1.25, 1.25])
     assert cov[1, 2] == 0.0
 
@@ -489,15 +501,32 @@ def test_solve_does_not_depend_on_constraint_memory_order(rng):
     c_ordered = replace(problem, constraints=np.ascontiguousarray(problem.constraints))
     ours, theirs = solve(problem), solve(c_ordered)
     assert ours.extrapolations.tobytes() == theirs.extrapolations.tobytes()
-    assert ours.sensitivity.tobytes() == theirs.sensitivity.tobytes()
+    for field in ("root_w", "top", "bottom", "t_inv"):
+        assert getattr(ours.sensitivity, field).tobytes() == getattr(theirs.sensitivity, field).tobytes()
 
 
-@pytest.mark.parametrize("g_weight", [1.0, 1e-8])
-@pytest.mark.parametrize(
+def dense_subset(rng: np.random.Generator, ms: MeasurementSet, n_equations: int) -> HierarchySubset:
+    """Equations for the first correlators, each over every correlator with
+    normal random coefficients."""
+    equations = tuple(
+        BbgkyEquation(
+            ms.correlators[e],
+            tuple((float(rng.normal()), string) for string in ms.correlators),
+        )
+        for e in range(n_equations)
+    )
+    return HierarchySubset(equations, ms.correlators, ms.n_correlators, 0)
+
+
+ORACLE_SHAPES = pytest.mark.parametrize(
     "n_correlators,n_steps,n_equations",
     [(4, 5, 2), (5, 4, 4), (1, 2, 1)],
     ids=["m<QN", "m=QN", "m>QN"],
 )
+
+
+@pytest.mark.parametrize("g_weight", [1.0, 1e-8])
+@ORACLE_SHAPES
 def test_solve_matches_complete_q_oracle(rng, n_correlators, n_steps, n_equations, g_weight):
     # m = n_equations * (n_steps + 1) constraint rows against Q N estimates;
     # m > Q N is the pinned case. The correction cancels against c_hat, so
@@ -505,15 +534,7 @@ def test_solve_matches_complete_q_oracle(rng, n_correlators, n_steps, n_equation
     # sensitivity D^-1 Y Y^T D is compared as Y Y^T, whose entries are <= 1.
     for _ in range(5):
         ms = random_measurements(rng, n_correlators, n_steps, shots=2048)
-        equations = tuple(
-            BbgkyEquation(
-                ms.correlators[e],
-                tuple((float(rng.normal()), string) for string in ms.correlators),
-            )
-            for e in range(n_equations)
-        )
-        subset = HierarchySubset(equations, ms.correlators, n_correlators, 0)
-        problem = assemble(ms, subset, 2, 0.3, g_weight)
+        problem = assemble(ms, dense_subset(rng, ms, n_equations), 2, 0.3, g_weight)
         assert problem.constraints.shape == (n_equations * (n_steps + 1), n_correlators * n_steps)
         ours = solve(problem)
         extrapolations, sensitivity = complete_q_solve(problem)
@@ -521,29 +542,64 @@ def test_solve_matches_complete_q_oracle(rng, n_correlators, n_steps, n_equation
         scale = max(np.abs(plain).max(), np.abs(extrapolations).max())
         assert np.abs(ours.extrapolations - extrapolations).max() <= 1e-12 * scale
         root_w = 1.0 / np.linalg.norm(ours.gains.reshape(-1, ms.n_levels), axis=1)
-        unscaled = (ours.sensitivity - sensitivity) * root_w[:, None] / root_w
+        dense = ours.sensitivity.rows(0, root_w.size)
+        unscaled = (dense - sensitivity) * root_w[:, None] / root_w
         assert np.abs(unscaled).max() <= 1e-12
+
+
+@pytest.mark.parametrize("g_weight", [1.0, 1e-8])
+@ORACLE_SHAPES
+def test_factored_covariance_matches_complete_q_oracle(
+    rng, monkeypatch, n_correlators, n_steps, n_equations, g_weight
+):
+    # C = J P J^T with the oracle's J = D^-1 Y Y^T D. In units U = W D^-1 and
+    # D P D (the plain variances times w), every entry of W C W^T is bounded
+    # by max_i |U_i|^2 max(D P D), as Y Y^T has norm <= 1; the std is
+    # compared in the same units. Blocks of 3 rows make propagate_std take
+    # several.
+    monkeypatch.setattr(mitigation, "STD_BLOCK_ROWS", 3)
+    for _ in range(5):
+        ms = random_measurements(rng, n_correlators, n_steps, shots=2048)
+        problem = assemble(ms, dense_subset(rng, ms, n_equations), 2, 0.3, g_weight)
+        result = solve(problem)
+        _, sensitivity = complete_q_solve(problem)
+        covariance = extrapolation_covariance(result, measurement_variances(ms))
+        plain = covariance.root_plain**2
+        oracle = (sensitivity * plain) @ sensitivity.T
+        root_w = 1.0 / np.linalg.norm(result.gains.reshape(-1, ms.n_levels), axis=1)
+        units = rng.normal(size=(3, root_w.size))
+        weights = units * root_w
+        factor = covariance.factor(weights)
+        scale = (root_w**2 * plain).max()
+        bound = (units**2).sum(axis=1).max() * scale
+        assert np.abs(factor @ factor.T - weights @ oracle @ weights.T).max() <= 1e-12 * bound
+        std = propagate_std(covariance, result.extrapolations.shape).ravel()
+        assert np.abs((std**2 - np.diag(oracle)) * root_w**2).max() <= 1e-12 * scale
 
 
 def test_solve_memory_at_the_n6_r1_shape():
     # the Schwinger n=6, radius-1 fit: Q N = 74 * 20 = 1480 estimates and
-    # m = 16 * 21 = 336 constraint rows. The result holds one Q N x Q N
-    # sensitivity; the solve may peak at three such arrays.
+    # m = 16 * 21 = 336 constraint rows. Both fits and the observable
+    # reports build no Q N x Q N array, and together peak below one.
     ham = build_hamiltonian(SchwingerParams(n_qubits=6, mass_ratio=0.5, volume=30.0, l0=0.5))
     subset = select_subset(ham, hierarchy_seeds(6), 1)
     rng = np.random.default_rng(5)
     base = random_measurements(rng, subset.n_correlators, 20, shots=10240)
     ms = MeasurementSet(subset.correlators, base.values, base.eps, base.initial, base.shots)
-    problem = assemble(ms, subset, 2, 0.2)
-    n_blocks = problem.constraints.shape[1]
-    assert (n_blocks, problem.constraints.shape[0]) == (1480, 336)
+    layout = ProblemLayout(ms.n_correlators, ms.n_steps, ms.n_levels, 2, subset.n_equations)
+    n_blocks = layout.n_correlators * layout.n_steps
+    assert (n_blocks, subset.n_equations * 21) == (1480, 336)
+    observables = tracked_observables(6)
+    references = [np.zeros(21)] * len(observables)
     tracemalloc.start()
     try:
-        solve(problem)
+        bbgky = run_mitigation(ms, subset, 2, 0.2)
+        zne = run_mitigation(ms, None, 2, 0.2)
+        report_observables(ms, observables, references, zne, bbgky, 0.2)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 3 * 8 * n_blocks**2
+    assert peak < 8 * n_blocks**2
 
 
 @pytest.mark.parametrize("constrained", [True, False])
@@ -565,9 +621,9 @@ def test_solve_bytes_estimate_the_traced_peak_of_run_mitigation(constrained):
     assert 0.9 <= peak / layout.solve_bytes <= 1.1
 
 
-def test_solve_size_cap_admits_n6_r2_and_refuses_n8_r2(monkeypatch):
+def test_solve_size_cap_admits_n8_r2_and_refuses_n8_r3(monkeypatch):
     monkeypatch.setattr(mitigation, "assemble", lambda *args: pytest.fail("problem assembled"))
-    for n, radius, fits in ((6, 2, True), (8, 2, False)):
+    for n, radius, fits in ((6, 2, True), (8, 2, True), (8, 3, False)):
         ham = build_hamiltonian(SchwingerParams(n_qubits=n, l0=0.4, mass_ratio=0.3))
         subset = select_subset(ham, hierarchy_seeds(n), radius)
         layout = ProblemLayout(subset.n_correlators, 20, 4, 2, subset.n_equations)

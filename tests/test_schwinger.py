@@ -203,14 +203,14 @@ def test_run_cell_rejects_too_few_distinct_levels():
 
 
 def test_run_cell_refuses_an_unaffordable_fit_before_simulating(monkeypatch):
-    """n = 8, r = 2 at 20 steps needs 4 GiB for the constrained fit; the
+    """n = 8, r = 3 at 20 steps needs 16.5 GiB for the constrained fit; the
     cell fails before the noisy simulation and allocates next to nothing."""
     monkeypatch.setattr(schwinger, "evolve_noisy", lambda *args: pytest.fail("simulated"))
     plan = EvolutionPlan(20, 4.0, 1, (0.0, 1.0, 1.5, 2.0), 10240, 1)
     tracemalloc.start()
     try:
         with pytest.raises(ResourceLimitError, match="GiB"):
-            run_cell(SchwingerParams(8, 0.3, 30.0, 0.4), plan, MILD_NOISE, 2, 2)
+            run_cell(SchwingerParams(8, 0.3, 30.0, 0.4), plan, MILD_NOISE, 3, 2)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -242,12 +242,12 @@ def test_run_scan_reports_what_run_cell_reports(shots):
 
 @pytest.mark.parametrize(
     "n_qubits, radius, degree, error",
-    [(8, 2, 2, ResourceLimitError), (4, 0, 4, IllPosedFitError)],
+    [(8, 3, 2, ResourceLimitError), (4, 0, 4, IllPosedFitError)],
 )
 def test_run_scan_refuses_a_cell_before_simulating_any(
     monkeypatch, n_qubits, radius, degree, error
 ):
-    """n = 8, r = 2 needs 4 GiB for each cell's constrained fit, and four
+    """n = 8, r = 3 needs 16.5 GiB for each cell's constrained fit, and four
     fold levels cannot support degree 4: the scan fails before its first
     batch and allocates next to nothing."""
     monkeypatch.setattr(schwinger, "evolve_noisy_batch", lambda *args: pytest.fail("simulated"))
