@@ -238,13 +238,13 @@ class Sensitivity:
     Y = I[:QN, m:] - V[:QN] T V[m:]^T is the top-right block of the
     orthogonal factor of :func:`solve`'s QR. It is kept as that QR's m
     Householder reflectors V, ``top = V[:QN]`` and ``bottom = V[m:]``, and
-    ``t_inv`` = T^-1 = striu(V^T V) + diag(1 / tau).
+    the upper triangular m x m factor ``t`` = T of their compact WY form.
     """
 
     root_w: np.ndarray
     top: np.ndarray
     bottom: np.ndarray
-    t_inv: np.ndarray
+    t: np.ndarray
 
     def apply(self, weights: np.ndarray) -> np.ndarray:
         """``weights @ J`` for k weight rows over the Q * N estimates."""
@@ -263,12 +263,12 @@ class Sensitivity:
         B Y^T = B S^T - (B V[m:]) T^T V[:QN]^T. Right-multiplying by S moves
         columns m: to :QN-m, by S^T back; both are empty once m >= Q N,
         where the constraints pin every estimate."""
-        m = self.t_inv.shape[0]
+        m = self.t.shape[0]
         shift = max(self.root_w.size - m, 0)
-        left = np.linalg.solve(self.t_inv.T, projected.T).T @ self.bottom.T
+        left = (projected @ self.t) @ self.bottom.T
         np.negative(left, out=left)
         left[:, :shift] += scaled[:, m:]
-        out = np.linalg.solve(self.t_inv, (left @ self.bottom).T).T @ self.top.T
+        out = ((left @ self.bottom) @ self.t.T) @ self.top.T
         np.negative(out, out=out)
         out[:, m:] += left[:, :shift]
         out *= self.root_w
@@ -467,7 +467,9 @@ def solve(problem: MitigationProblem) -> MitigationResult:
     # (Puglisi 1992). That needs every tau > 0, and here each tau lies in
     # [1, 2]: LAPACK sets tau = 0 only for a column that is zero below its
     # diagonal, but column i of A keeps the identity's 1 in row Q N + i, where
-    # every earlier reflector is zero.
+    # every earlier reflector is zero. T is formed once: every product with
+    # it is then a matrix product, where an LU solve per product cost more
+    # than the products with V.
     packed, tau = np.linalg.qr(
         np.vstack([(constraints / root_w).T, np.eye(n_rows)]), mode="raw"
     )
@@ -480,13 +482,14 @@ def solve(problem: MitigationProblem) -> MitigationResult:
     np.fill_diagonal(head, 1.0)
     t_inv = np.triu(reflectors.T @ reflectors, 1)
     np.fill_diagonal(t_inv, 1.0 / tau)
+    t = np.linalg.inv(t_inv)
     z = np.linalg.solve(upper.T, problem.rhs - constraints @ estimates)
     # X z = ([z; 0] - V T V^T [z; 0])[:QN]
-    correction = reflectors[:n_blocks] @ np.linalg.solve(t_inv, head.T @ z)
+    correction = reflectors[:n_blocks] @ (t @ (head.T @ z))
     np.negative(correction, out=correction)
     correction[: min(n_rows, n_blocks)] += z[:n_blocks]
     extrapolations = estimates + correction / root_w
-    sensitivity = Sensitivity(root_w, reflectors[:n_blocks], reflectors[n_rows:], t_inv)
+    sensitivity = Sensitivity(root_w, reflectors[:n_blocks], reflectors[n_rows:], t)
     return MitigationResult(extrapolations.reshape(shape), gains_out, sensitivity)
 
 

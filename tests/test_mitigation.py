@@ -501,7 +501,7 @@ def test_solve_does_not_depend_on_constraint_memory_order(rng):
     c_ordered = replace(problem, constraints=np.ascontiguousarray(problem.constraints))
     ours, theirs = solve(problem), solve(c_ordered)
     assert ours.extrapolations.tobytes() == theirs.extrapolations.tobytes()
-    for field in ("root_w", "top", "bottom", "t_inv"):
+    for field in ("root_w", "top", "bottom", "t"):
         assert getattr(ours.sensitivity, field).tobytes() == getattr(theirs.sensitivity, field).tobytes()
 
 
