@@ -181,8 +181,9 @@ class MitigationProblem:
     shape (N, levels, d + 1), which every block b = q * N + s - 1 of that step
     shares, and ``data[b]`` the block's measured values. ``constraints`` is G,
     one row per (equation, time point) over the Q * N constant terms, and
-    ``rhs`` is g; both are already scaled by ``g_weight``. :attr:`matrix` and :attr:`target` scatter these blocks into
-    the dense paper form on first use.
+    ``rhs`` is g; both are already scaled by ``g_weight``. :attr:`matrix` and
+    :attr:`target` scatter these blocks into the dense paper form on first
+    use.
     """
 
     vander: np.ndarray

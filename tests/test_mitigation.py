@@ -502,10 +502,13 @@ def test_solve_does_not_depend_on_constraint_memory_order(rng):
     ours, theirs = solve(problem), solve(c_ordered)
     assert ours.extrapolations.tobytes() == theirs.extrapolations.tobytes()
     for field in ("root_w", "top", "bottom", "t"):
-        assert getattr(ours.sensitivity, field).tobytes() == getattr(theirs.sensitivity, field).tobytes()
+        mine = getattr(ours.sensitivity, field)
+        assert mine.tobytes() == getattr(theirs.sensitivity, field).tobytes()
 
 
-def dense_subset(rng: np.random.Generator, ms: MeasurementSet, n_equations: int) -> HierarchySubset:
+def dense_subset(
+    rng: np.random.Generator, ms: MeasurementSet, n_equations: int
+) -> HierarchySubset:
     """Equations for the first correlators, each over every correlator with
     normal random coefficients."""
     equations = tuple(
